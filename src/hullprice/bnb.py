@@ -35,6 +35,7 @@ class MipSolution:
     bound: float = math.nan
     gap: float = math.nan
     node_count: int = 0
+    root: object = None   # LpSolution of the root relaxation, once solved
 
 
 def _most_fractional(x, cols, tol):
@@ -72,8 +73,11 @@ def solve_mip(problem, gap_tol=1e-6, node_limit=10 ** 6, int_tol=INT_TOL):
 
     Returns a MipSolution; status is "Optimal", "Infeasible", "Unbounded",
     or "NodeLimit" (best incumbent so far with the proven bound and gap).
+    Its ``root`` is the first node's cold ``solve_lp(problem.lp)``; None
+    only if the node limit stops the search before that node.
     """
     lp = problem.lp
+    root = None
     incumbent = None
     inc_obj = math.inf
     node_count = 0
@@ -86,19 +90,22 @@ def solve_mip(problem, gap_tol=1e-6, node_limit=10 ** 6, int_tol=INT_TOL):
         if sol.objective < inc_obj - PRUNE_MARGIN:
             incumbent, inc_obj = sol, sol.objective
 
+    def result(status, bound=math.nan):
+        if incumbent is None:
+            return MipSolution(status=status, bound=bound,
+                               node_count=node_count, root=root)
+        return MipSolution(status=status, primal=incumbent.primal,
+                           objective=inc_obj, bound=bound,
+                           gap=max(inc_obj - bound, 0.0),
+                           node_count=node_count, root=root)
+
     stack.append((-math.inf, seq, {}, None))
     heuristic_done = False
     while heap or stack:
         if node_count >= node_limit:
             open_bounds = [e[0] for e in heap] + [e[0] for e in stack]
             bound = min(open_bounds) if open_bounds else inc_obj
-            if incumbent is None:
-                return MipSolution(status="NodeLimit", bound=bound,
-                                   node_count=node_count)
-            return MipSolution(
-                status="NodeLimit", primal=incumbent.primal,
-                objective=inc_obj, bound=bound,
-                gap=max(inc_obj - bound, 0.0), node_count=node_count)
+            return result("NodeLimit", bound)
         if stack:
             parent_bound, _, fixes, basis = stack.pop()
         else:
@@ -106,18 +113,16 @@ def solve_mip(problem, gap_tol=1e-6, node_limit=10 ** 6, int_tol=INT_TOL):
             if (incumbent is not None
                     and inc_obj - parent_bound <= gap_tol):
                 # heap is bound-ordered: every open node is at least this
-                return MipSolution(
-                    status=OPTIMAL, primal=incumbent.primal,
-                    objective=inc_obj, bound=parent_bound,
-                    gap=max(inc_obj - parent_bound, 0.0),
-                    node_count=node_count)
+                return result(OPTIMAL, parent_bound)
         if parent_bound >= inc_obj - PRUNE_MARGIN:
             continue
         sol = _node_solve(lp, fixes, basis)
         node_count += 1
+        if root is None:
+            root = sol
         if sol.status == UNBOUNDED:
             # only possible at the root: fixing binaries never unbounds
-            return MipSolution(status="Unbounded", node_count=node_count)
+            return result("Unbounded")
         if sol.status != OPTIMAL:
             continue
         if sol.objective >= inc_obj - PRUNE_MARGIN:
@@ -147,7 +152,5 @@ def solve_mip(problem, gap_tol=1e-6, node_limit=10 ** 6, int_tol=INT_TOL):
         stack.append((sol.objective, seq, near, sol.basis))
 
     if incumbent is None:
-        return MipSolution(status=INFEASIBLE, node_count=node_count)
-    return MipSolution(status=OPTIMAL, primal=incumbent.primal,
-                       objective=inc_obj, bound=inc_obj, gap=0.0,
-                       node_count=node_count)
+        return result(INFEASIBLE)
+    return result(OPTIMAL, inc_obj)

@@ -326,6 +326,19 @@ def evaluate_schedule_cost(gen, u, x):
     return total
 
 
+def closed_runs(gen, u):
+    """(state, length) of each run of u ending inside the horizon, counting
+    pre-horizon time; the run reaching T is truncated and left out."""
+    state = 1 if gen.initial.is_on else 0
+    length = gen.initial.on_for if gen.initial.is_on else gen.initial.off_for
+    for cur in u:
+        if cur == state:
+            length += 1
+        else:
+            yield state, length
+            state, length = cur, 1
+
+
 def check_schedule(gen, sched, tol=1e-6):
     """List of constraint violations of a Schedule; empty when feasible."""
     T = gen.n_periods
@@ -346,29 +359,14 @@ def check_schedule(gen, sched, tol=1e-6):
             problems.append(f"{gen.id}: positive output while off at period {t + 1}")
 
     # run-length checks, including the pre-horizon run
-    init = gen.initial
-    runs = []  # (state, start_index_1based, length, clipped_at_T)
-    state = 1 if init.is_on else 0
-    length = init.on_for if init.is_on else init.off_for
-    start = None
-    for t in range(1, T + 1):
-        cur = u[t - 1]
-        if cur == state:
-            length += 1
-        else:
-            runs.append((state, start, length, False))
-            state, length, start = cur, 1, t
-    runs.append((state, start, length, True))
-    for st, s0, ln, last in runs:
-        if last:
-            continue  # runs reaching T are never length-constrained
+    for st, ln in closed_runs(gen, u):
         if st == 1 and ln < gen.L:
             problems.append(f"{gen.id}: on-run of {ln} < minimum up time {gen.L}")
         if st == 0 and ln < gen.ell:
             problems.append(f"{gen.id}: off-run of {ln} < minimum down time {gen.ell}")
 
     # ramping between consecutive on periods; start/shutdown ramp caps
-    prev_on = init.is_on
+    prev_on = gen.initial.is_on
     for t in range(1, T + 1):
         cur_on = bool(u[t - 1])
         if cur_on and prev_on and t >= 2:

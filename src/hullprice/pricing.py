@@ -19,11 +19,11 @@ schedule earns at those prices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .bnb import MipProblem, solve_mip
 from .formulations import assemble_2bin, assemble_meuc, map_to_schedule
-from .lp import OPTIMAL, solve_lp, with_bounds
+from .lp import OPTIMAL, solve_lp, verify_duality, with_bounds
 from .ucdp import profit_max
 
 
@@ -80,17 +80,32 @@ def solve_commitment(instance, gap_tol=1e-6, node_limit=10 ** 6):
                             model=meuc, mip=res)
 
 
+def _balance_duals(model, sol, what):
+    """Certified load-balance duals of model.lp and its optimal value.
+
+    Raises SolveFailure unless ``sol`` is Optimal and passes
+    verify_duality, so every published price vector carries its
+    optimality certificate.
+    """
+    if sol.status != OPTIMAL:
+        raise SolveFailure(f"{what} is {sol.status}")
+    cert = verify_duality(model.lp, sol)
+    if not cert.ok:
+        raise SolveFailure(f"{what} fails its duality check: residuals "
+                           f"primal {cert.primal_residual:.3g}, dual "
+                           f"{cert.dual_residual:.3g}, complementarity "
+                           f"{cert.complementarity:.3g}")
+    return tuple(sol.duals[r] for r in model.load_balance_rows), sol.objective
+
+
 def price_chp(instance):
     """Convex hull prices and the relaxation objective they certify."""
     meuc = assemble_meuc(instance)
-    sol = solve_lp(meuc.lp)
-    if sol.status != OPTIMAL:
-        raise SolveFailure(f"system LP is {sol.status}")
-    prices = tuple(sol.duals[r] for r in meuc.load_balance_rows)
-    return prices, sol.objective
+    return _balance_duals(meuc, solve_lp(meuc.lp), "system LP")
 
 
 def _fix_commitment(model, instance, schedules):
+    """The model with its u, v columns frozen at the awarded schedules."""
     fixes = {}
     for gen in instance.generators:
         tv = model.blocks[gen.id]
@@ -98,29 +113,24 @@ def _fix_commitment(model, instance, schedules):
         for t in range(1, instance.T + 1):
             fixes[tv.u[t]] = (float(sch.u[t - 1]), float(sch.u[t - 1]))
             fixes[tv.v[t]] = (float(sch.v[t - 1]), float(sch.v[t - 1]))
-    return with_bounds(model.lp, fixes)
+    return replace(model, lp=with_bounds(model.lp, fixes))
 
 
 def price_tlmp(instance, commitment=None, gap_tol=1e-6, node_limit=10 ** 6):
     """Fixed-commitment dispatch duals at the system MIP optimum."""
     if commitment is None:
         commitment = solve_commitment(instance, gap_tol, node_limit)
-    model = assemble_2bin(instance)
-    sol = solve_lp(_fix_commitment(model, instance, commitment.schedules))
-    if sol.status != OPTIMAL:
-        raise SolveFailure(f"fixed-commitment dispatch LP is {sol.status}")
-    prices = tuple(sol.duals[r] for r in model.load_balance_rows)
+    fixed = _fix_commitment(assemble_2bin(instance), instance,
+                            commitment.schedules)
+    prices, _ = _balance_duals(fixed, solve_lp(fixed.lp),
+                               "fixed-commitment dispatch LP")
     return prices, commitment
 
 
 def price_2bin_relaxation(instance):
     """Duals of the commitment-space LP relaxation (no integrality)."""
     model = assemble_2bin(instance)
-    sol = solve_lp(model.lp)
-    if sol.status != OPTIMAL:
-        raise SolveFailure(f"commitment-space LP is {sol.status}")
-    prices = tuple(sol.duals[r] for r in model.load_balance_rows)
-    return prices, sol.objective
+    return _balance_duals(model, solve_lp(model.lp), "commitment-space LP")
 
 
 def uplift(instance, prices, schedules):
@@ -143,10 +153,15 @@ def _report(method, instance, prices, z_qip, relax_obj, schedules):
 
 
 def price(instance, method, gap_tol=1e-6, node_limit=10 ** 6):
-    """One PricingReport for method "chp", "tlmp", or "2bin-lp"."""
+    """One PricingReport for method "chp", "tlmp", or "2bin-lp".
+
+    The "chp" prices are read off the root relaxation of the commitment
+    branch and bound, which is the LP price_chp solves.
+    """
     commitment = solve_commitment(instance, gap_tol, node_limit)
     if method == "chp":
-        prices, relax = price_chp(instance)
+        prices, relax = _balance_duals(commitment.model, commitment.mip.root,
+                                       "system LP")
     elif method == "tlmp":
         prices, _ = price_tlmp(instance, commitment)
         relax = commitment.objective
@@ -162,7 +177,8 @@ def compare(instance, gap_tol=1e-6, node_limit=10 ** 6):
     """TLMP and convex hull reports on a shared awarded commitment."""
     commitment = solve_commitment(instance, gap_tol, node_limit)
     pi_t, _ = price_tlmp(instance, commitment)
-    pi_c, relax = price_chp(instance)
+    pi_c, relax = _balance_duals(commitment.model, commitment.mip.root,
+                                 "system LP")
     rep_t = _report("tlmp", instance, pi_t, commitment.objective,
                     commitment.objective, commitment.schedules)
     rep_c = _report("chp", instance, pi_c, commitment.objective, relax,

@@ -22,7 +22,8 @@ import math
 from dataclasses import dataclass, field
 
 from .lp import LpBuilder, solve_lp, OPTIMAL
-from .model import Schedule, evaluate_schedule_cost
+from .model import Schedule, closed_runs, evaluate_schedule_cost, \
+    starts_from_commitment
 
 
 class InfeasibleDispatch(RuntimeError):
@@ -125,7 +126,7 @@ def _best(candidates):
     """(value, tag) with strictly-better wins; ties keep the earliest."""
     best_v, best_tag = math.inf, None
     for value, tag in candidates:
-        if value < best_v - 0.0:  # strict: earlier candidates win ties
+        if value < best_v:  # strict: earlier candidates win ties
             best_v, best_tag = value, tag
     return best_v, best_tag
 
@@ -264,21 +265,8 @@ def commitment_feasible(gen, u):
     """Min-up/min-down validity of an on/off string, counting the
     pre-horizon run; runs that reach T are exempt (the horizon truncates
     them)."""
-    T = gen.n_periods
-    state = 1 if gen.initial.is_on else 0
-    length = gen.initial.on_for if gen.initial.is_on else gen.initial.off_for
-    for t in range(T):
-        cur = u[t]
-        if cur == state:
-            length += 1
-            continue
-        # the previous run just ended inside the horizon
-        if state == 1 and length < gen.L:
-            return False
-        if state == 0 and length < gen.ell:
-            return False
-        state, length = cur, 1
-    return True
+    return all(length >= (gen.L if state else gen.ell)
+               for state, length in closed_runs(gen, u))
 
 
 def brute_force_uc(gen, prices=None, cache=None):
@@ -339,16 +327,7 @@ def brute_force_uc(gen, prices=None, cache=None):
     obj, (u, x) = best
     sched = Schedule(
         u=u,
-        v=tuple(_starts(gen, u)),
+        v=starts_from_commitment(gen, u),
         x=x,
         cost=evaluate_schedule_cost(gen, u, x))
     return obj, sched
-
-
-def _starts(gen, u):
-    prev = 1 if gen.initial.is_on else 0
-    out = []
-    for ut in u:
-        out.append(1 if ut and not prev else 0)
-        prev = ut
-    return out

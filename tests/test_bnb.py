@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from hullprice.bnb import MipProblem, MipSolution, solve_mip
 from hullprice.lp import LinearProgram, LpBuilder
@@ -105,26 +105,35 @@ def _random_mip(rng):
     return MipProblem(lp, int_cols)
 
 
+def _scipy_rows(lp):
+    """Dense A with row bounds lb <= A x <= ub."""
+    lb = np.array([-math.inf if sense == "<=" else rhs
+                   for _, sense, rhs in lp.rows])
+    ub = np.array([math.inf if sense == ">=" else rhs
+                   for _, sense, rhs in lp.rows])
+    return lp.matrix().toarray(), lb, ub
+
+
 def _scipy_milp(problem):
     lp = problem.lp
-    A = lp.matrix().toarray()
-    lb, ub = [], []
-    for _, sense, rhs in lp.rows:
-        if sense == "<=":
-            lb.append(-math.inf)
-            ub.append(rhs)
-        elif sense == ">=":
-            lb.append(rhs)
-            ub.append(math.inf)
-        else:
-            lb.append(rhs)
-            ub.append(rhs)
+    A, lb, ub = _scipy_rows(lp)
     integrality = np.array([1 if j in problem.integer_cols else 0
                             for j in range(lp.n_vars)])
     return milp(c=np.asarray(lp.objective),
                 constraints=LinearConstraint(A, lb, ub),
                 integrality=integrality,
                 bounds=Bounds(np.asarray(lp.var_lo), np.asarray(lp.var_hi)))
+
+
+def _scipy_relaxation(problem):
+    """HiGHS LP relaxation of the data _scipy_milp hands to milp."""
+    lp = problem.lp
+    A, lb, ub = _scipy_rows(lp)
+    hi, lo = np.isfinite(ub), np.isfinite(lb)
+    return linprog(c=np.asarray(lp.objective),
+                   A_ub=np.vstack([A[hi], -A[lo]]),
+                   b_ub=np.concatenate([ub[hi], -lb[lo]]),
+                   bounds=list(zip(lp.var_lo, lp.var_hi)), method="highs")
 
 
 def test_fuzz_against_reference_milp():
@@ -134,6 +143,11 @@ def test_fuzz_against_reference_milp():
         problem = _random_mip(rng)
         ours = solve_mip(problem)
         ref = _scipy_milp(problem)
+        if ours.root.status == "Optimal":
+            relax = _scipy_relaxation(problem)
+            assert relax.status == 0, f"trial {trial}: relaxation {relax.status}"
+            assert ours.root.objective == pytest.approx(relax.fun,
+                                                        abs=1e-6), trial
         if ours.status == "Optimal":
             assert ref.status == 0, f"trial {trial}: reference {ref.status}"
             assert ours.objective == pytest.approx(ref.fun, abs=1e-6), trial

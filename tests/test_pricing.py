@@ -1,9 +1,13 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from hullprice import pricing
+from hullprice.formulations import assemble_2bin
 from hullprice.pricing import (
+    SolveFailure,
     compare,
     lagrangian_value,
     price,
@@ -84,6 +88,20 @@ class TestTwoBinRelaxationPricing:
         assert rep.total_uplift == pytest.approx(float(Fraction(295, 11)),
                                                  abs=1e-6)
 
+    def test_uncertified_duals_are_refused(self, demo, monkeypatch):
+        row = assemble_2bin(demo).load_balance_rows[1]
+        solve = pricing.solve_lp
+
+        def perturbed(lp, *args, **kwargs):
+            sol = solve(lp, *args, **kwargs)
+            duals = list(sol.duals)
+            duals[row] += 1.0
+            return dataclasses.replace(sol, duals=tuple(duals))
+
+        monkeypatch.setattr(pricing, "solve_lp", perturbed)
+        with pytest.raises(SolveFailure, match="duality check"):
+            price_2bin_relaxation(demo)
+
 
 class TestCompare:
     def test_demo_gap(self, demo):
@@ -106,6 +124,10 @@ class TestCompare:
             inst = random_instance(rng, int(rng.integers(2, 4)),
                                    int(rng.integers(2, 5)))
             cmp = compare(inst)
+            # read off the B&B root, bit for bit the LP price_chp solves
+            lp_prices, lp_value = price_chp(inst)
+            assert cmp.chp.prices == lp_prices, trial
+            assert cmp.chp.relaxation_objective == lp_value, trial
             assert cmp.chp.total_uplift <= cmp.tlmp.total_uplift + 1e-6, trial
             identity = cmp.chp.z_qip - cmp.chp.relaxation_objective
             assert cmp.chp.total_uplift == pytest.approx(identity,
