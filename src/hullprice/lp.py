@@ -8,8 +8,10 @@ basic ones.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,7 +32,9 @@ class LinearProgram:
     """min objective.x subject to rows and variable bounds.
 
     Each row is ``(coeffs, sense, rhs)`` with ``coeffs`` a tuple of
-    ``(var_index, coefficient)`` pairs.
+    ``(var_index, coefficient)`` pairs. Construction validates the rows and
+    decodes them once into the CSC matrix ``A`` and the ``rhs`` and
+    ``sense`` arrays; copies made by ``with_bounds`` share them.
     """
 
     n_vars: int
@@ -40,6 +44,9 @@ class LinearProgram:
     var_hi: tuple[float, ...] = ()
     row_labels: tuple[str, ...] = ()
     var_labels: tuple[str, ...] = ()
+    A: sp.csc_matrix = field(init=False, repr=False, compare=False)
+    rhs: np.ndarray = field(init=False, repr=False, compare=False)
+    sense: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n_vars
@@ -51,20 +58,37 @@ class LinearProgram:
                            self.var_hi or tuple([math.inf] * n))
         if len(self.var_lo) != n or len(self.var_hi) != n:
             raise ValueError("bound vectors must have n_vars entries")
-        for coeffs, sense, rhs in self.rows:
-            if sense not in SENSES:
-                raise ValueError(f"unknown row sense {sense!r}")
-            if not math.isfinite(rhs):
-                raise ValueError("row rhs must be finite")
-            for j, a in coeffs:
-                if not 0 <= j < n:
-                    raise ValueError(f"variable index {j} out of range")
-                if not math.isfinite(a):
-                    raise ValueError("row coefficient must be finite")
+        coeffs, senses, rhs = zip(*self.rows) if self.rows else ((), (), ())
+        unknown = [s for s in senses if s not in SENSES]
+        if unknown:
+            raise ValueError(f"unknown row sense {unknown[0]!r}")
+        rhs = np.array(rhs, dtype=float)
+        if not np.isfinite(rhs).all():
+            raise ValueError("row rhs must be finite")
+        entries = list(chain.from_iterable(coeffs))
+        cols, vals = zip(*entries) if entries else ((), ())
+        cols = np.array(cols, dtype=np.intp)
+        out = (cols < 0) | (cols >= n)
+        if out.any():
+            raise ValueError(f"variable index {cols[out][0]} out of range")
+        vals = np.array(vals, dtype=float)
+        if not np.isfinite(vals).all():
+            raise ValueError("row coefficient must be finite")
         if self.row_labels and len(self.row_labels) != len(self.rows):
             raise ValueError("row_labels length mismatch")
         if self.var_labels and len(self.var_labels) != n:
             raise ValueError("var_labels length mismatch")
+        # entries arrive row by row; a stable sort by column gives CSC order
+        m = len(coeffs)
+        row_of = np.repeat(np.arange(m), [len(c) for c in coeffs])
+        order = np.argsort(cols, kind="stable")
+        indptr = np.concatenate(([0],
+                                 np.cumsum(np.bincount(cols, minlength=n))))
+        A = sp.csc_matrix((vals[order], row_of[order], indptr), shape=(m, n))
+        A.sum_duplicates()  # repeated (row, column) pairs add up
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "sense", np.array(senses, dtype="<U2"))
 
     @property
     def n_rows(self):
@@ -77,14 +101,8 @@ class LinearProgram:
         return self.var_labels[j] if self.var_labels else f"x{j}"
 
     def matrix(self):
-        """Structural coefficient matrix as scipy CSC."""
-        data, ri, ci = [], [], []
-        for i, (coeffs, _, _) in enumerate(self.rows):
-            for j, a in coeffs:
-                ri.append(i)
-                ci.append(j)
-                data.append(a)
-        return sp.csc_matrix((data, (ri, ci)), shape=(self.n_rows, self.n_vars))
+        """Structural coefficient matrix as scipy CSC (shared, not a copy)."""
+        return self.A
 
 
 @dataclass(frozen=True)
@@ -120,12 +138,6 @@ class LpBuilder:
         self._hi.append(hi)
         self._obj.append(obj)
         return j
-
-    def __contains__(self, name):
-        return name in self._index
-
-    def col(self, name):
-        return self._index[name]
 
     def set_bounds(self, name, lo, hi):
         j = self._index[name]
@@ -166,14 +178,18 @@ class LpBuilder:
 def with_bounds(lp, updates):
     """Copy of ``lp`` with variable bounds overridden.
 
-    updates maps column index -> (lo, hi). Rows and objective are shared.
+    updates maps column index -> (lo, hi). Rows, objective and the decoded
+    constraint arrays are shared, not rebuilt.
     """
     lo = list(lp.var_lo)
     hi = list(lp.var_hi)
     for j, (l, h) in updates.items():
         lo[j] = l
         hi[j] = h
-    return replace(lp, var_lo=tuple(lo), var_hi=tuple(hi))
+    out = copy.copy(lp)
+    object.__setattr__(out, "var_lo", tuple(lo))
+    object.__setattr__(out, "var_hi", tuple(hi))
+    return out
 
 
 def solve_lp(lp, maxiter=None, basis=None):
@@ -185,23 +201,11 @@ def solve_lp(lp, maxiter=None, basis=None):
     n, m = lp.n_vars, lp.n_rows
     if maxiter is None:
         maxiter = 50 * (n + m)
-    slack_lo = []
-    slack_hi = []
-    b = []
-    for coeffs, sense, rhs in lp.rows:
-        b.append(rhs)
-        if sense == "<=":
-            slack_lo.append(0.0)
-            slack_hi.append(math.inf)
-        elif sense == ">=":
-            slack_lo.append(-math.inf)
-            slack_hi.append(0.0)
-        else:
-            slack_lo.append(0.0)
-            slack_hi.append(0.0)
+    slack_lo = np.where(lp.sense == ">=", -math.inf, 0.0)
+    slack_hi = np.where(lp.sense == "<=", math.inf, 0.0)
     lo = np.concatenate([np.asarray(lp.var_lo, dtype=float), slack_lo])
     hi = np.concatenate([np.asarray(lp.var_hi, dtype=float), slack_hi])
-    engine = Simplex(lp.matrix(), np.asarray(b, dtype=float),
+    engine = Simplex(lp.matrix(), lp.rhs,
                      np.asarray(lp.objective, dtype=float), lo, hi, maxiter)
     if basis is not None:
         res = engine.solve(basis=basis[0], vstat=basis[1])
@@ -247,54 +251,39 @@ def verify_duality(lp, sol, tol=DUALITY_TOL):
     x = np.asarray(sol.primal)
     y = np.asarray(sol.duals)
     rc = np.asarray(sol.reduced_costs)
+    lo = np.asarray(lp.var_lo, dtype=float)
+    hi = np.asarray(lp.var_hi, dtype=float)
+    le, ge = lp.sense == "<=", lp.sense == ">="
+    A = lp.matrix()
     notes = []
 
-    primal = 0.0
-    comp = 0.0
-    for i, (coeffs, sense, rhs) in enumerate(lp.rows):
-        ax = sum(a * x[j] for j, a in coeffs)
-        slack = rhs - ax
-        if sense == "<=":
-            primal = max(primal, -slack)
-        elif sense == ">=":
-            primal = max(primal, slack)
-        else:
-            primal = max(primal, abs(slack))
-        comp = max(comp, abs(y[i] * slack))
-    for j in range(lp.n_vars):
-        primal = max(primal, lp.var_lo[j] - x[j], x[j] - lp.var_hi[j])
+    slack = lp.rhs - A @ x
+    row_viol = np.where(le, -slack, np.where(ge, slack, np.abs(slack)))
+    primal = max(0.0, float(np.max(row_viol, initial=0.0)),
+                 float(np.max(lo - x, initial=0.0)),
+                 float(np.max(x - hi, initial=0.0)))
+    comp = float(np.max(np.abs(y * slack), initial=0.0))
 
-    dual = 0.0
-    for i, (_, sense, _) in enumerate(lp.rows):
-        if sense == "<=" and y[i] > 0:
-            dual = max(dual, y[i])
-        elif sense == ">=" and y[i] < 0:
-            dual = max(dual, -y[i])
-    A = lp.matrix()
+    dual = max(0.0, float(np.max(y[le], initial=0.0)),
+               float(np.max(-y[ge], initial=0.0)))
     rc_exact = np.asarray(lp.objective) - A.T @ y
     dual = max(dual, float(np.max(np.abs(rc - rc_exact), initial=0.0)))
-    for j in range(lp.n_vars):
-        at_lo = math.isfinite(lp.var_lo[j]) and x[j] - lp.var_lo[j] <= 1e-7
-        at_up = math.isfinite(lp.var_hi[j]) and lp.var_hi[j] - x[j] <= 1e-7
-        if at_lo and at_up:
-            continue  # fixed variable: any reduced cost is fine
-        if at_lo:
-            dual = max(dual, -rc[j])
-        elif at_up:
-            dual = max(dual, rc[j])
-        else:
-            dual = max(dual, abs(rc[j]))
-            if abs(rc[j]) > tol:
-                notes.append(f"nonzero reduced cost on interior variable "
-                             f"{lp.var_label(j)}")
+    at_lo = np.isfinite(lo) & (x - lo <= 1e-7)
+    at_up = np.isfinite(hi) & (hi - x <= 1e-7)
+    interior = ~at_lo & ~at_up
+    # a fixed variable (at both bounds) may carry any reduced cost
+    col_viol = np.where(at_lo, -rc, np.where(at_up, rc, np.abs(rc)))
+    dual = max(dual, float(np.max(col_viol[~(at_lo & at_up)], initial=0.0)))
+    for j in np.flatnonzero(interior & (np.abs(rc) > tol)):
+        notes.append(f"nonzero reduced cost on interior variable "
+                     f"{lp.var_label(j)}")
 
     cx = float(np.asarray(lp.objective) @ x)
-    b = np.asarray([r[2] for r in lp.rows])
-    dual_obj = float(b @ y) + float(rc @ x) if lp.n_rows else float(rc @ x)
+    dual_obj = float(lp.rhs @ y) + float(rc @ x)
     gap = abs(cx - dual_obj)
     obj_gap_ok = gap <= tol * (1.0 + abs(cx))
 
-    scale_b = 1.0 + (float(np.max(np.abs(b))) if lp.n_rows else 0.0) + \
+    scale_b = 1.0 + float(np.max(np.abs(lp.rhs), initial=0.0)) + \
         float(np.max(np.abs(x), initial=0.0))
     scale_c = 1.0 + float(np.max(np.abs(lp.objective), initial=0.0)) + \
         float(np.max(np.abs(y), initial=0.0))
@@ -313,21 +302,20 @@ def dump_lp(lp, path, name="LP"):
     """Write a fixed-format text rendering (MPS layout) of the program."""
     lines = [f"NAME          {_clean(name)}", "ROWS", " N  COST"]
     sense_tag = {"<=": "L", ">=": "G", "=": "E"}
-    for i, (_, sense, _) in enumerate(lp.rows):
-        lines.append(f" {sense_tag[sense]}  {_clean(lp.row_label(i))}")
+    rnames = [_clean(lp.row_label(i)) for i in range(lp.n_rows)]
+    for sense, rname in zip(lp.sense.tolist(), rnames):
+        lines.append(f" {sense_tag[sense]}  {rname}")
     lines.append("COLUMNS")
-    by_var = [[] for _ in range(lp.n_vars)]
-    for i, (coeffs, _, _) in enumerate(lp.rows):
-        for j, a in coeffs:
-            by_var[j].append((lp.row_label(i), a))
+    A = lp.matrix()
     for j in range(lp.n_vars):
         vname = _clean(lp.var_label(j))
-        entries = [("COST", lp.objective[j])] + by_var[j]
-        for rname, a in entries:
-            lines.append(f"    {vname:<24}  {_clean(rname):<24}  {a!r}")
+        lines.append(f"    {vname:<24}  {'COST':<24}  {lp.objective[j]!r}")
+        col = slice(A.indptr[j], A.indptr[j + 1])
+        for i, a in zip(A.indices[col].tolist(), A.data[col].tolist()):
+            lines.append(f"    {vname:<24}  {rnames[i]:<24}  {a!r}")
     lines.append("RHS")
-    for i, (_, _, rhs) in enumerate(lp.rows):
-        lines.append(f"    RHS  {_clean(lp.row_label(i)):<24}  {rhs!r}")
+    for rname, rhs in zip(rnames, lp.rhs.tolist()):
+        lines.append(f"    RHS  {rname:<24}  {rhs!r}")
     lines.append("BOUNDS")
     for j in range(lp.n_vars):
         vname = _clean(lp.var_label(j))

@@ -194,10 +194,6 @@ class Schedule:
     cost: float
 
 
-# A price vector is one float per period; kept as a plain tuple.
-PriceVector = tuple[float, ...]
-
-
 # ---------------------------------------------------------------------------
 # derived data and small helpers
 

@@ -54,19 +54,6 @@ class SimplexResult:
         self.vstat = vstat
 
 
-def _nearest_bound_status(lo, hi):
-    if lo == hi:
-        return AT_LO
-    lo_fin, hi_fin = np.isfinite(lo), np.isfinite(hi)
-    if lo_fin and hi_fin:
-        return AT_LO if abs(lo) <= abs(hi) else AT_UP
-    if lo_fin:
-        return AT_LO
-    if hi_fin:
-        return AT_UP
-    return FREE
-
-
 class Simplex:
     def __init__(self, A, b, c, lo, hi, maxiter):
         """A is m x n (scipy sparse or dense array over structural columns)."""
@@ -132,15 +119,14 @@ class Simplex:
             except NumericalFailure:
                 basis = None
         if basis is None or vstat is None:
-            self.vstat = np.empty(n + m, dtype=int)
-            self.xval = np.zeros(n + m)
-            for j in range(n + m):
-                s = _nearest_bound_status(self.lo[j], self.hi[j])
-                self.vstat[j] = s
-                if s == AT_LO:
-                    self.xval[j] = self.lo[j]
-                elif s == AT_UP:
-                    self.xval[j] = self.hi[j]
+            # each column starts at the bound nearer zero (lo on ties and
+            # fixed columns), at its one finite bound, or free at 0
+            lo, hi = self.lo, self.hi
+            lo_fin, hi_fin = np.isfinite(lo), np.isfinite(hi)
+            up = hi_fin & ~(lo_fin & (np.abs(lo) <= np.abs(hi))) & (lo != hi)
+            free = ~lo_fin & ~hi_fin & (lo != hi)
+            self.vstat = np.where(up, AT_UP, np.where(free, FREE, AT_LO))
+            self.xval = np.where(up, hi, np.where(free, 0.0, lo))
             self.basis = np.arange(n, n + m)
             self.vstat[self.basis] = BASIC
             self.Binv = np.eye(m)

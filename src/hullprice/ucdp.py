@@ -100,9 +100,6 @@ class IntervalCostCache:
     def dispatch(self, t, k):
         return self.result(t, k).dispatch
 
-    def items(self):
-        return sorted(self._memo.items())
-
 
 @dataclass
 class ValueTables:
@@ -119,7 +116,6 @@ class ValueTables:
     v_up: dict = field(default_factory=dict)
     argmin: dict = field(default_factory=dict)
     ed: IntervalCostCache = None
-    prices: tuple = None
 
 
 def _best(candidates):
@@ -144,8 +140,7 @@ def run_dp(gen, prices=None):
     S = gen.startup_cost.value
     Sp = gen.shutdown_cost.value
     init = gen.initial
-    tables = ValueTables(objective=math.nan, ed=ed,
-                         prices=tuple(prices) if prices is not None else None)
+    tables = ValueTables(objective=math.nan, ed=ed)
     v_down, v_up, arg = tables.v_down, tables.v_up, tables.argmin
 
     if init.is_on:

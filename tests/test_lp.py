@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -51,6 +52,16 @@ class TestKernelExamples:
         lp = _lp([-1.0], [], [0.0], [math.inf])
         assert solve_lp(lp).status == UNBOUNDED
 
+    def test_bounds_only_program(self):
+        # min x  s.t.  1 <= x <= 3, no rows
+        lp = _lp([1.0], [], [1.0], [3.0])
+        sol = solve_lp(lp)
+        assert sol.status == OPTIMAL
+        assert sol.objective == pytest.approx(1.0, abs=1e-12)
+        assert sol.primal == (1.0,)
+        assert sol.duals == ()
+        assert verify_duality(lp, sol).ok
+
     def test_equalities_with_free_variables(self):
         # min x + y  s.t.  x + y = 4,  x - y = 0
         rows = [(((0, 1.0), (1, 1.0)), "=", 4.0),
@@ -95,6 +106,30 @@ class TestVerifyDuality:
             verify_duality(lp, solve_lp(lp))
 
 
+_ROW = (((0, 1.0),), "<=", 1.0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"rows": ((((0, 1.0),), "<>", 1.0),)}, "unknown row sense '<>'"),
+    ({"rows": ((((0, 1.0),), ">=", math.inf),)}, "row rhs must be finite"),
+    ({"rows": ((((0, math.nan),), "=", 1.0),)},
+     "row coefficient must be finite"),
+    ({"rows": ((((1, 1.0),), "<=", 1.0),)}, "variable index 1 out of range"),
+    ({"rows": ((((-1, 1.0),), "<=", 1.0),)},
+     "variable index -1 out of range"),
+    ({"rows": (_ROW,), "var_lo": (0.0, 0.0)},
+     "bound vectors must have n_vars entries"),
+    ({"rows": (_ROW,), "row_labels": ("a", "b")},
+     "row_labels length mismatch"),
+    ({"rows": (_ROW,), "var_labels": ("x", "y")},
+     "var_labels length mismatch"),
+], ids=["sense", "rhs", "coefficient", "index-n", "index-negative",
+        "var_lo", "row_labels", "var_labels"])
+def test_invalid_program_rejected(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        LinearProgram(n_vars=1, objective=(1.0,), **kwargs)
+
+
 class TestBuilder:
     def test_duplicate_entries_merge(self):
         bld = LpBuilder()
@@ -134,6 +169,7 @@ class TestBuilder:
         tight = with_bounds(lp, {x: (5.0, 10.0)})
         assert solve_lp(tight).objective == pytest.approx(5.0)
         assert lp.var_lo[x] == 0.0  # original untouched
+        assert tight.matrix() is lp.matrix()
 
 
 class TestDeterminism:
