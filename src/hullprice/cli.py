@@ -16,6 +16,7 @@ from .bnb import MipProblem, solve_mip
 from .formulations import FractionalSolution, assemble_meuc
 from .lp import NumericalFailure, dump_lp
 from .model import ParseError, ValidationError, load_instance, validate
+from .pricing import fmt
 from .samples import random_instance
 from .ucdp import InfeasibleDispatch, run_dp
 
@@ -39,10 +40,6 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
-def _fmt(v):
-    return f"{float(v) + 0.0:.10g}"
-
-
 def cmd_validate(args):
     _load(args)
     print("ok")
@@ -55,7 +52,7 @@ def _schedule_csv(instance, schedules):
         sch = schedules[gen.id]
         for t in range(instance.T):
             lines.append(f"{gen.id},{t + 1},{sch.u[t]},{sch.v[t]},"
-                         f"{_fmt(sch.x[t])}")
+                         f"{fmt(sch.x[t])}")
     return "\n".join(lines) + "\n"
 
 
@@ -67,16 +64,16 @@ def cmd_solve(args):
     commit = pricing.solve_commitment(inst, gap_tol=args.gap_tol,
                                       node_limit=args.node_limit)
     if args.format == "csv":
-        text = f"z_qip,{_fmt(commit.objective)}\n\n" + \
+        text = f"z_qip,{fmt(commit.objective)}\n\n" + \
             _schedule_csv(inst, commit.schedules)
     else:
-        lines = [f"objective: {_fmt(commit.objective)}"]
+        lines = [f"objective: {fmt(commit.objective)}"]
         for gen in inst.generators:
             sch = commit.schedules[gen.id]
             lines.append(
                 f"{gen.id}: u={sch.u} v={sch.v} "
-                f"x=({', '.join(_fmt(x) for x in sch.x)}) "
-                f"cost={_fmt(sch.cost)}")
+                f"x=({', '.join(fmt(x) for x in sch.x)}) "
+                f"cost={fmt(sch.cost)}")
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)
     return 0
@@ -88,14 +85,14 @@ def _trace_dp(instance, prices, path):
         _, tables = run_dp(gen, prices)
         for t in sorted(tables.v_up):
             choice = tables.argmin.get(("up", t))
-            lines.append(f"{gen.id},up,{t},{_fmt(tables.v_up[t])},"
+            lines.append(f"{gen.id},up,{t},{fmt(tables.v_up[t])},"
                          f"{':'.join(str(c) for c in choice)}")
         for t in sorted(tables.v_down):
             choice = tables.argmin.get(("down", t))
-            lines.append(f"{gen.id},down,{t},{_fmt(tables.v_down[t])},"
+            lines.append(f"{gen.id},down,{t},{fmt(tables.v_down[t])},"
                          f"{':'.join(str(c) for c in choice)}")
         root = tables.argmin.get("root")
-        lines.append(f"{gen.id},root,0,{_fmt(tables.objective)},"
+        lines.append(f"{gen.id},root,0,{fmt(tables.objective)},"
                      f"{':'.join(str(c) for c in root)}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -103,14 +100,14 @@ def _trace_dp(instance, prices, path):
 
 def _pretty_report(rep):
     lines = [f"[{rep.method}] prices: "
-             f"({', '.join(_fmt(p) for p in rep.prices)})"]
+             f"({', '.join(fmt(p) for p in rep.prices)})"]
     for r in rep.rows:
-        lines.append(f"  {r.generator}: best profit {_fmt(r.best_profit)}, "
-                     f"schedule profit {_fmt(r.iso_profit)}, "
-                     f"uplift {_fmt(r.uplift)}")
-    lines.append(f"  total uplift {_fmt(rep.total_uplift)} "
-                 f"(commitment cost {_fmt(rep.z_qip)}, "
-                 f"relaxation {_fmt(rep.relaxation_objective)})")
+        lines.append(f"  {r.generator}: best profit {fmt(r.best_profit)}, "
+                     f"schedule profit {fmt(r.iso_profit)}, "
+                     f"uplift {fmt(r.uplift)}")
+    lines.append(f"  total uplift {fmt(rep.total_uplift)} "
+                 f"(commitment cost {fmt(rep.z_qip)}, "
+                 f"relaxation {fmt(rep.relaxation_objective)})")
     return lines
 
 
@@ -142,7 +139,7 @@ def _compare_one(inst, args):
     lines = []
     for rep in reps:
         lines.extend(_pretty_report(rep))
-    lines.append(f"uplift gap (tlmp vs chp): {_fmt(cmp.gap_tm)}")
+    lines.append(f"uplift gap (tlmp vs chp): {fmt(cmp.gap_tm)}")
     return "\n".join(lines) + "\n"
 
 

@@ -16,13 +16,11 @@ from itertools import chain
 import numpy as np
 import scipy.sparse as sp
 
-from .simplex import Simplex, NumericalFailure  # noqa: F401  (re-exported)
+# the engine's result type and status words are re-exported from here
+from .simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED,  # noqa: F401
+                      LpSolution, NumericalFailure, Simplex)
 
 SENSES = ("<=", ">=", "=")
-
-OPTIMAL = "Optimal"
-INFEASIBLE = "Infeasible"
-UNBOUNDED = "Unbounded"
 
 DUALITY_TOL = 1e-6
 
@@ -105,17 +103,6 @@ class LinearProgram:
         return self.A
 
 
-@dataclass(frozen=True)
-class LpSolution:
-    status: str
-    primal: tuple[float, ...] = ()
-    duals: tuple[float, ...] = ()
-    reduced_costs: tuple[float, ...] = ()
-    objective: float = math.nan
-    iterations: int = 0
-    basis: tuple = None
-
-
 class LpBuilder:
     """Incremental LP assembly with named variables and labelled rows."""
 
@@ -196,35 +183,9 @@ def solve_lp(lp, maxiter=None, basis=None):
     """Solve with the bounded-variable primal simplex; exact basic duals.
 
     maxiter defaults to 50 * (n_vars + n_rows). Raises NumericalFailure if
-    the pivot loop exceeds it.
+    the pivot loop exceeds it. basis is an earlier solution's ``basis``.
     """
-    n, m = lp.n_vars, lp.n_rows
-    if maxiter is None:
-        maxiter = 50 * (n + m)
-    slack_lo = np.where(lp.sense == ">=", -math.inf, 0.0)
-    slack_hi = np.where(lp.sense == "<=", math.inf, 0.0)
-    lo = np.concatenate([np.asarray(lp.var_lo, dtype=float), slack_lo])
-    hi = np.concatenate([np.asarray(lp.var_hi, dtype=float), slack_hi])
-    engine = Simplex(lp.matrix(), lp.rhs,
-                     np.asarray(lp.objective, dtype=float), lo, hi, maxiter)
-    if basis is not None:
-        res = engine.solve(basis=basis[0], vstat=basis[1])
-    else:
-        res = engine.solve()
-    if res.status == "infeasible":
-        return LpSolution(status=INFEASIBLE, iterations=res.iterations)
-    if res.status == "unbounded":
-        return LpSolution(status=UNBOUNDED, iterations=res.iterations)
-    return LpSolution(
-        status=OPTIMAL,
-        primal=tuple(float(v) for v in res.x),
-        duals=tuple(float(v) for v in res.duals),
-        reduced_costs=tuple(float(v) for v in res.reduced_costs),
-        objective=res.objective,
-        iterations=res.iterations,
-        basis=(tuple(int(i) for i in res.basis),
-               tuple(int(s) for s in res.vstat)),
-    )
+    return Simplex(lp, maxiter).solve(basis)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ schedule earns at those prices.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 from .bnb import MipProblem, solve_mip
@@ -207,21 +206,16 @@ def lagrangian_value(instance, prices):
 # CSV rendering (deterministic: fixed column order, %.10g floats)
 
 
-def _fmt(v):
-    if v is None:
-        return ""
-    if isinstance(v, float) and math.isnan(v):
-        return "nan"
-    if isinstance(v, float):
-        return f"{v + 0.0:.10g}"  # normalizes -0.0
-    return str(v)
+def fmt(v):
+    """A number as %.10g with -0.0 shown as 0; None is the empty cell."""
+    return "" if v is None else f"{float(v) + 0.0:.10g}"
 
 
 def prices_csv(reports):
     lines = ["method,period,price"]
     for rep in reports:
         for t, p in enumerate(rep.prices, start=1):
-            lines.append(f"{rep.method},{t},{_fmt(float(p))}")
+            lines.append(f"{rep.method},{t},{fmt(p)}")
     return "\n".join(lines) + "\n"
 
 
@@ -230,18 +224,16 @@ def uplift_csv(reports):
     for rep in reports:
         for r in rep.rows:
             lines.append(",".join([rep.method, r.generator,
-                                   _fmt(float(r.best_profit)),
-                                   _fmt(float(r.iso_profit)),
-                                   _fmt(float(r.uplift))]))
+                                   fmt(r.best_profit), fmt(r.iso_profit),
+                                   fmt(r.uplift)]))
     return "\n".join(lines) + "\n"
 
 
 def summary_csv(reports, gap_tm=None):
     lines = ["method,total_uplift,z_qip,relaxation_obj,gap_tm"]
     for rep in reports:
-        g = gap_tm if rep.method == "tlmp" and gap_tm is not None else None
-        lines.append(",".join([rep.method, _fmt(float(rep.total_uplift)),
-                               _fmt(float(rep.z_qip)),
-                               _fmt(float(rep.relaxation_objective)),
-                               _fmt(g)]))
+        g = gap_tm if rep.method == "tlmp" else None
+        lines.append(",".join([rep.method, fmt(rep.total_uplift),
+                               fmt(rep.z_qip), fmt(rep.relaxation_objective),
+                               fmt(g)]))
     return "\n".join(lines) + "\n"

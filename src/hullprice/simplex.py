@@ -1,9 +1,12 @@
 """Bounded-variable revised primal simplex.
 
-The solver works on ``min c.x  s.t.  A x (<=,=,>=) b,  lo <= x <= hi``.
-Each row gets a logical column (slack) so the working system is
-``[A I] (x, s) = b`` with sense encoded in the slack bounds:
-``<=`` gives s in [0, inf), ``>=`` gives s in (-inf, 0], ``=`` pins s at 0.
+The solver works on ``min c.x  s.t.  A x (<=,=,>=) b,  lo <= x <= hi``,
+read from a ``LinearProgram``'s stored arrays. Each row gets a logical
+column (slack) so the working system is ``[A I] (x, s) = b`` with sense
+encoded in the slack bounds: ``<=`` gives s in [0, inf), ``>=`` gives s in
+(-inf, 0], ``=`` pins s at 0. The ``I`` block is implicit and ``[A I]`` is
+never built: slack columns are unit vectors, and the products with the
+working system add the slack part to the products with ``A``.
 
 Implementation notes:
 
@@ -21,8 +24,10 @@ Implementation notes:
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
-import scipy.sparse as sp
 
 AT_LO, AT_UP, BASIC, FREE = 0, 1, 2, 3
 
@@ -33,44 +38,50 @@ DEGEN_STEP = 1e-10
 BLAND_AFTER = 1000
 REFACTOR_EVERY = 200
 
+OPTIMAL = "Optimal"
+INFEASIBLE = "Infeasible"
+UNBOUNDED = "Unbounded"
+
+_UNIT = np.ones(1)
+
 
 class NumericalFailure(RuntimeError):
     """Pivoting stalled: iteration cap hit or basis became unusable."""
 
 
-class SimplexResult:
-    __slots__ = ("status", "x", "duals", "reduced_costs", "objective",
-                 "iterations", "basis", "vstat")
-
-    def __init__(self, status, x=None, duals=None, reduced_costs=None,
-                 objective=None, iterations=0, basis=None, vstat=None):
-        self.status = status
-        self.x = x
-        self.duals = duals
-        self.reduced_costs = reduced_costs
-        self.objective = objective
-        self.iterations = iterations
-        self.basis = basis
-        self.vstat = vstat
+@dataclass(frozen=True)
+class LpSolution:
+    status: str
+    primal: tuple[float, ...] = ()
+    duals: tuple[float, ...] = ()
+    reduced_costs: tuple[float, ...] = ()
+    objective: float = math.nan
+    iterations: int = 0
+    basis: tuple = None
 
 
 class Simplex:
-    def __init__(self, A, b, c, lo, hi, maxiter):
-        """A is m x n (scipy sparse or dense array over structural columns)."""
-        self.m = len(b)
-        self.n = A.shape[1] if self.m else len(c)
+    def __init__(self, lp, maxiter=None):
+        """Engine for one solve of the ``LinearProgram`` ``lp``.
+
+        Reads ``lp.matrix()``, ``lp.rhs``, ``lp.sense``, ``lp.objective``,
+        ``lp.var_lo`` and ``lp.var_hi``. The matrix and rhs are used as
+        stored; only the cost and bound vectors are copied, extended by the
+        slack part. maxiter defaults to ``50 * (n_vars + n_rows)``.
+        """
+        self.A = lp.matrix()
+        # a CSR view sharing A's arrays; made once, as each view costs ~30 us
+        self.AT = self.A.T
+        self.m, self.n = self.A.shape
         m, n = self.m, self.n
-        if m:
-            eye = sp.identity(m, format="csc")
-            self.A = sp.hstack([sp.csc_matrix(A), eye], format="csc")
-        else:
-            self.A = sp.csc_matrix((0, n))
-        self.AT = self.A.T.tocsr()
-        self.b = np.asarray(b, dtype=float)
-        self.c = np.concatenate([np.asarray(c, dtype=float), np.zeros(m)])
-        self.lo = np.asarray(lo, dtype=float)
-        self.hi = np.asarray(hi, dtype=float)
-        self.maxiter = maxiter
+        self.b = lp.rhs
+        self.c = np.concatenate([np.asarray(lp.objective, dtype=float),
+                                 np.zeros(m)])
+        self.lo = np.concatenate([np.asarray(lp.var_lo, dtype=float),
+                                  np.where(lp.sense == ">=", -np.inf, 0.0)])
+        self.hi = np.concatenate([np.asarray(lp.var_hi, dtype=float),
+                                  np.where(lp.sense == "<=", np.inf, 0.0)])
+        self.maxiter = 50 * (n + m) if maxiter is None else maxiter
         self.iterations = 0
         self.degenerate = 0
         self.since_refactor = 0
@@ -78,6 +89,8 @@ class Simplex:
     # -- basis algebra -----------------------------------------------------
 
     def _column(self, j):
+        if j >= self.n:
+            return np.array([j - self.n]), _UNIT
         a = self.A
         start, end = a.indptr[j], a.indptr[j + 1]
         return a.indices[start:end], a.data[start:end]
@@ -101,14 +114,16 @@ class Simplex:
     def _recompute_basics(self):
         xN = self.xval.copy()
         xN[self.basis] = 0.0
-        self.xb = self.Binv @ (self.b - self.A @ xN)
+        n = self.n
+        self.xb = self.Binv @ (self.b - (self.A @ xN[:n] + xN[n:]))
         self.xval[self.basis] = self.xb
 
     # -- setup ---------------------------------------------------------------
 
-    def _start(self, basis=None, vstat=None):
+    def _start(self, warm):
         m, n = self.m, self.n
-        if basis is not None and vstat is not None:
+        if warm is not None:
+            basis, vstat = warm
             self.basis = np.array(basis, dtype=int)
             self.vstat = np.array(vstat, dtype=int)
             self.xval = np.where(self.vstat == AT_UP, self.hi,
@@ -117,8 +132,8 @@ class Simplex:
             try:
                 self._refactor()
             except NumericalFailure:
-                basis = None
-        if basis is None or vstat is None:
+                warm = None
+        if warm is None:
             # each column starts at the bound nearer zero (lo on ties and
             # fixed columns), at its one finite bound, or free at 0
             lo, hi = self.lo, self.hi
@@ -135,6 +150,10 @@ class Simplex:
         self._recompute_basics()
 
     # -- pricing -------------------------------------------------------------
+
+    def _reduced_costs(self, c, y):
+        """c - [A I]^T y over all columns, structural then slack."""
+        return c - np.concatenate([self.AT @ y, y])
 
     def _phase1_costs(self):
         cb = np.zeros(self.m)
@@ -250,7 +269,7 @@ class Simplex:
             else:
                 cb = self.c[self.basis]
             y = cb @ self.Binv
-            d = self.c * (0.0 if phase1 else 1.0) - (self.AT @ y)
+            d = self._reduced_costs(self.c * (0.0 if phase1 else 1.0), y)
             d[self.basis] = 0.0
             bland = self.degenerate >= BLAND_AFTER
             j, direction = self._pick_entering(d, bland)
@@ -270,10 +289,14 @@ class Simplex:
                 self.degenerate += 1
             self._apply_pivot(j, direction, w, theta, r)
 
-    def solve(self, basis=None, vstat=None):
+    def solve(self, basis=None):
+        """Solve from ``basis``, the ``(basis, vstat)`` pair an earlier
+        ``LpSolution.basis`` carries, or from the cold start when None.
+        A warm basis that turns out singular falls back to the cold start.
+        """
         if (self.lo > self.hi).any():
-            return SimplexResult("infeasible", iterations=0)
-        self._start(basis=basis, vstat=vstat)
+            return LpSolution(INFEASIBLE)
+        self._start(basis)
         n, m = self.n, self.m
         infeasible = (
             (self.xb < self.lo[self.basis] - FEAS_TOL).any()
@@ -282,18 +305,23 @@ class Simplex:
         if infeasible:
             verdict = self._iterate(phase1=True)
             if verdict == "infeasible":
-                return SimplexResult("infeasible", iterations=self.iterations)
+                return LpSolution(INFEASIBLE, iterations=self.iterations)
             self._recompute_basics()
         verdict = self._iterate(phase1=False)
         if verdict == "unbounded":
-            return SimplexResult("unbounded", iterations=self.iterations)
+            return LpSolution(UNBOUNDED, iterations=self.iterations)
         # polish the basic values against the final basis before reporting
         self._recompute_basics()
         y = self.c[self.basis] @ self.Binv if m else np.zeros(0)
-        d = self.c - (self.AT @ y)
+        d = self._reduced_costs(self.c, y)
         d[self.basis] = 0.0
-        x = self.xval[:n].copy()
-        return SimplexResult(
-            "optimal", x=x, duals=y, reduced_costs=d[:n],
-            objective=float(self.c[:n] @ x), iterations=self.iterations,
-            basis=self.basis.copy(), vstat=self.vstat.copy())
+        x = self.xval[:n]
+        return LpSolution(
+            status=OPTIMAL,
+            primal=tuple(x.tolist()),
+            duals=tuple(y.tolist()),
+            reduced_costs=tuple(d[:n].tolist()),
+            objective=float(self.c[:n] @ x),
+            iterations=self.iterations,
+            basis=(tuple(self.basis.tolist()), tuple(self.vstat.tolist())),
+        )

@@ -11,6 +11,7 @@ from hullprice.lp import (
     UNBOUNDED,
     LinearProgram,
     LpBuilder,
+    NumericalFailure,
     dump_lp,
     solve_lp,
     verify_duality,
@@ -51,6 +52,37 @@ class TestKernelExamples:
     def test_unbounded_detected(self):
         lp = _lp([-1.0], [], [0.0], [math.inf])
         assert solve_lp(lp).status == UNBOUNDED
+
+    def test_unbounded_with_rows(self):
+        # min -x - y  s.t.  x - y <= 1,  x, y >= 0
+        lp = _lp([-1.0, -1.0], [(((0, 1.0), (1, -1.0)), "<=", 1.0)],
+                 [0.0, 0.0], [math.inf, math.inf])
+        assert solve_lp(lp).status == UNBOUNDED
+
+    def test_crossed_bounds_infeasible_without_pivots(self):
+        lp = _lp([1.0], [(((0, 1.0),), ">=", 0.0)], [2.0], [1.0])
+        sol = solve_lp(lp)
+        assert sol.status == INFEASIBLE
+        assert sol.iterations == 0
+
+    def test_iteration_cap_raises(self):
+        # min x  s.t.  x >= 3 needs one pivot from the slack basis
+        lp = _lp([1.0], [(((0, 1.0),), ">=", 3.0)], [-math.inf], [math.inf])
+        with pytest.raises(NumericalFailure, match="iteration cap 0"):
+            solve_lp(lp, maxiter=0)
+
+    def test_warm_start_with_basic_slack(self):
+        # min x + y  s.t.  x + y >= 1,  x <= 5 (never binding),  x, y >= 0
+        rows = [(((0, 1.0), (1, 1.0)), ">=", 1.0), (((0, 1.0),), "<=", 5.0)]
+        lp = _lp([1.0, 1.0], rows, [0.0, 0.0], [math.inf, math.inf])
+        cold = solve_lp(lp)
+        assert cold.status == OPTIMAL
+        assert lp.n_vars + 1 in cold.basis[0]  # slack of the second row
+        warm = solve_lp(lp, basis=cold.basis)
+        assert warm.status == OPTIMAL
+        assert warm.objective == cold.objective
+        assert warm.iterations == 0
+        assert verify_duality(lp, warm).ok
 
     def test_bounds_only_program(self):
         # min x  s.t.  1 <= x <= 3, no rows
