@@ -18,7 +18,7 @@ from .lp import NumericalFailure, dump_lp
 from .model import ParseError, ValidationError, load_instance, validate
 from .pricing import fmt
 from .samples import random_instance
-from .ucdp import InfeasibleDispatch, run_dp
+from .ucdp import run_dp
 
 
 def _load(args):
@@ -240,7 +240,7 @@ def main(argv=None):
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (pricing.SolveFailure, FractionalSolution, InfeasibleDispatch,
+    except (pricing.SolveFailure, FractionalSolution,
             NumericalFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
-import scipy.sparse as sp
 
 # the engine's result type and status words are re-exported from here
 from .simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED,  # noqa: F401
@@ -42,7 +41,7 @@ class LinearProgram:
     var_hi: tuple[float, ...] = ()
     row_labels: tuple[str, ...] = ()
     var_labels: tuple[str, ...] = ()
-    A: sp.csc_matrix = field(init=False, repr=False, compare=False)
+    A: scipy.sparse.csc_matrix = field(init=False, repr=False, compare=False)
     rhs: np.ndarray = field(init=False, repr=False, compare=False)
     sense: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -76,13 +75,16 @@ class LinearProgram:
             raise ValueError("row_labels length mismatch")
         if self.var_labels and len(self.var_labels) != n:
             raise ValueError("var_labels length mismatch")
+        # scipy loads with the first LP built: callers that only run the
+        # DP (profit_max) never need it, and it is about 20 MB of RSS
+        from scipy.sparse import csc_matrix
         # entries arrive row by row; a stable sort by column gives CSC order
         m = len(coeffs)
         row_of = np.repeat(np.arange(m), [len(c) for c in coeffs])
         order = np.argsort(cols, kind="stable")
         indptr = np.concatenate(([0],
                                  np.cumsum(np.bincount(cols, minlength=n))))
-        A = sp.csc_matrix((vals[order], row_of[order], indptr), shape=(m, n))
+        A = csc_matrix((vals[order], row_of[order], indptr), shape=(m, n))
         A.sum_duplicates()  # repeated (row, column) pairs add up
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "rhs", rhs)

@@ -1,6 +1,6 @@
-"""Single-generator scheduling: interval dispatch LPs, value-function DP,
-schedule extraction, price-taking profit maximization, and a brute-force
-enumeration oracle.
+"""Single-generator scheduling: closed-form interval dispatch, value-function
+DP, schedule extraction, price-taking profit maximization, and two oracles
+(interval dispatch LPs and brute-force enumeration).
 
 The DP works on two value functions over period nodes:
 
@@ -11,14 +11,19 @@ The DP works on two value functions over period nodes:
   (t is its last on period); chooses the next start k >= t + ell + 1
   (paying the startup cost of the off gap) or stays off for good.
 
-Interval generation costs come from a dispatch LP per on-run; with a price
-vector the per-period slopes are shifted by -pi so "cost" means cost minus
-revenue throughout.
+Interval generation costs come from ``IntervalChain``: the dispatch of one
+on-run is a chain of convex piecewise-linear stage costs linked by ramp
+windows, so forward propagation of convex value functions prices every
+on-run in closed form. With a price vector the per-period slopes are shifted
+by -pi so "cost" means cost minus revenue throughout. ``solve_ed`` and
+``IntervalCostCache`` solve the same interval as an LP; they are the oracle
+that ``brute_force_uc`` and the tests check the chain against.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .lp import LpBuilder, solve_lp, OPTIMAL
@@ -41,13 +46,14 @@ class EdResult:
 
 
 def solve_ed(gen, t, k, prices=None):
-    """Minimum net cost of running exactly over periods [t, k].
+    """Minimum net cost of running exactly over periods [t, k], by LP.
 
-    Builds and solves the interval dispatch LP: output bounds, the ramp
-    chain, the start-ramp cap at t (skipped when t=1 for an initially-on
-    unit, whose pre-horizon output is unconstrained) and the shutdown-ramp
-    cap at k (skipped when k=T, where no shutdown happens). Start-up and
-    shut-down lump costs are not included here.
+    The LP oracle for ``IntervalChain``. Builds and solves the interval
+    dispatch LP: output bounds, the ramp chain, the start-ramp cap at t
+    (skipped when t=1 for an initially-on unit, whose pre-horizon output is
+    unconstrained) and the shutdown-ramp cap at k (skipped when k=T, where
+    no shutdown happens). Start-up and shut-down lump costs are not
+    included here.
     """
     if k < t:
         return EdResult(0.0, ())
@@ -81,7 +87,8 @@ def solve_ed(gen, t, k, prices=None):
 
 
 class IntervalCostCache:
-    """Lazy memo of solve_ed results for one (generator, prices) pair."""
+    """Lazy memo of solve_ed results for one (generator, prices) pair: the
+    LP oracle behind ``brute_force_uc``, with IntervalChain's interface."""
 
     def __init__(self, gen, prices=None):
         self.gen = gen
@@ -101,9 +108,163 @@ class IntervalCostCache:
         return self.result(t, k).dispatch
 
 
+def _envelope(pieces, lo, hi):
+    """Kinks of max_j (a_j x + b_j) inside (lo, hi), and the piece that is
+    the max on each stretch: ``active[j]`` holds from ``kinks[j-1]`` to
+    ``kinks[j]``. The kinks do not depend on a uniform slope shift."""
+    cur = max(pieces, key=lambda p: p.value(lo))
+    kinks, active = [], [cur]
+    while True:
+        steeper = [((cur.b - p.b) / (p.a - cur.a), -p.a, i)
+                   for i, p in enumerate(pieces) if p.a > cur.a]
+        if not steeper:
+            return kinks, active
+        x, _, i = min(steeper)  # first to overtake; ties go to the steepest
+        if x >= hi:
+            return kinks, active
+        cur = pieces[i]
+        if x > (kinks[-1] if kinks else lo):
+            kinks.append(x)
+            active.append(cur)
+        else:  # overtakes where the last stretch starts (a tie)
+            active[-1] = cur
+
+
+def _at(xs, vs, x):
+    """Value at x, xs[0] <= x <= xs[-1], of the PWL function (xs, vs)."""
+    i = bisect_left(xs, x)
+    if xs[i] == x:
+        return vs[i]
+    x0, v0 = xs[i - 1], vs[i - 1]
+    return v0 + (vs[i] - v0) * (x - x0) / (xs[i] - x0)
+
+
+def _restrict(xs, vs, lo, hi):
+    """(xs, vs) on [lo, hi], ends interpolated. A window that misses the
+    domain by round-off is moved onto the nearest end of the domain."""
+    if lo <= xs[0] and hi >= xs[-1]:
+        return xs, vs
+    lo = min(max(lo, xs[0]), xs[-1])
+    hi = min(max(hi, lo), xs[-1])
+    i, j = bisect_right(xs, lo), bisect_left(xs, hi)
+    rx, rv = [lo] + xs[i:j], [_at(xs, vs, lo)] + vs[i:j]
+    if hi > lo:
+        rx.append(hi)
+        rv.append(_at(xs, vs, hi))
+    return rx, rv
+
+
+def _add_stage(wx, wv, kinks, lines):
+    """W + f on W's domain, f = max of ``lines`` with ``kinks`` as in
+    _envelope. Breakpoints are W's plus f's kinks inside W's domain."""
+    xs, vs = [], []
+    j = bisect_right(kinks, wx[0])
+    px = pw = None
+    for x, w in zip(wx, wv):
+        while j < len(kinks) and kinks[j] <= x:
+            k = kinks[j]
+            if k < x:
+                a, b = lines[j]
+                xs.append(k)
+                vs.append(pw + (w - pw) * (k - px) / (x - px) + a * k + b)
+            j += 1
+        a, b = lines[j]
+        xs.append(x)
+        vs.append(w + a * x + b)
+        px, pw = x, w
+    return xs, vs
+
+
+def _argmin(xs, vs):
+    """(x, value) at the leftmost minimum of a PWL function."""
+    i = vs.index(min(vs))
+    return xs[i], vs[i]
+
+
+class IntervalChain:
+    """Closed-form interval costs for one (generator, prices) pair, with
+    IntervalCostCache's ``cost(t, k)`` / ``dispatch(t, k)`` interface.
+
+    The dispatch of an on-run [t, k] is a chain of convex piecewise-linear
+    stage costs f_s(x) = max_j (a_j - pi_s) x + b_j linked by the ramp
+    window, so it is solved by forward propagation of convex value
+    functions, as in the single-unit DP of Frangioni & Gentile (Oper. Res.
+    54(4), 2006). One pass from each start t gives every end k:
+
+    * V_t = f_t on [c_min, top], top = c_max for an initially-on unit at
+      t = 1 (its pre-horizon output is unconstrained), else the start cap
+      min(c_max, start_ramp);
+    * V_s = f_s + W with W(x) = min over |x - x'| <= ramp of V_{s-1}(x'):
+      the part of V_{s-1} left of its minimizer shifted by -ramp, the part
+      right of it shifted by +ramp, taken inside [c_min, c_max];
+    * cost(t, k) is the minimum of V_k below the shutdown cap (none at
+      k = T), and the dispatch backtracks from its minimizer through the
+      ramp windows.
+
+    Each V is a list of breakpoints and a list of values; the value
+    functions of a start are kept once computed.
+    """
+
+    def __init__(self, gen, prices=None):
+        T = gen.n_periods
+        pi = prices if prices is not None else (0.0,) * T
+        self.gen = gen
+        self._cap = min(gen.c_max, gen.start_ramp)
+        self._stages = []
+        for pc, p in zip(gen.cost, pi):
+            kinks, active = _envelope(pc.pieces, gen.c_min, gen.c_max)
+            self._stages.append((kinks, [(q.a - p, q.b) for q in active]))
+        self._passes = {}
+
+    def _values(self, t):
+        """V_t, ..., V_T of the forward pass from start t."""
+        if t not in self._passes:
+            gen = self.gen
+            lo, ramp = gen.c_min, gen.ramp
+            top = gen.c_max if t == 1 and gen.initial.is_on else self._cap
+            base = [lo, top] if top > lo else [lo]
+            V = _add_stage(base, [0.0] * len(base), *self._stages[t - 1])
+            values = [V]
+            for stage in self._stages[t:]:
+                xs, vs = V
+                if ramp > 0:
+                    i = vs.index(min(vs))
+                    xs = [x - ramp for x in xs[:i + 1]] + \
+                        [x + ramp for x in xs[i:]]
+                    vs = vs[:i + 1] + vs[i:]
+                V = _add_stage(*_restrict(xs, vs, lo, gen.c_max), *stage)
+                values.append(V)
+            self._passes[t] = values
+        return self._passes[t]
+
+    def _last(self, t, k):
+        """V_k of the pass from t, below the shutdown cap unless k = T."""
+        T = self.gen.n_periods
+        if not (1 <= t and k <= T):
+            raise ValueError(f"interval [{t}, {k}] outside horizon [1, {T}]")
+        cap = self.gen.c_max if k == T else self._cap
+        return _restrict(*self._values(t)[k - t], -math.inf, cap)
+
+    def cost(self, t, k):
+        if k < t:
+            return 0.0
+        return _argmin(*self._last(t, k))[1]
+
+    def dispatch(self, t, k):
+        if k < t:
+            return ()
+        ramp = self.gen.ramp
+        x = _argmin(*self._last(t, k))[0]
+        out = [x]
+        for xs, vs in reversed(self._values(t)[:k - t]):
+            x = _argmin(*_restrict(xs, vs, x - ramp, x + ramp))[0]
+            out.append(x)
+        return tuple(reversed(out))
+
+
 @dataclass
 class ValueTables:
-    """DP values, argmins, and the interval cache that produced them.
+    """DP values, argmins, and the interval costs that produced them.
 
     ``argmin`` keys: ("up", t) -> ("until", k) or ("to_end",);
     ("down", t) -> ("restart", k) or ("end",); "root" -> ("shutdown", t) /
@@ -115,7 +276,7 @@ class ValueTables:
     v_down: dict = field(default_factory=dict)
     v_up: dict = field(default_factory=dict)
     argmin: dict = field(default_factory=dict)
-    ed: IntervalCostCache = None
+    ed: IntervalChain = None
 
 
 def _best(candidates):
@@ -136,7 +297,7 @@ def run_dp(gen, prices=None):
     T = gen.n_periods
     if prices is not None and len(prices) != T:
         raise ValueError("price vector length does not match the horizon")
-    ed = IntervalCostCache(gen, prices)
+    ed = IntervalChain(gen, prices)
     S = gen.startup_cost.value
     Sp = gen.shutdown_cost.value
     init = gen.initial

@@ -10,6 +10,7 @@ import pytest
 from hullprice.cli import main
 from hullprice.model import instance_to_doc, save_instance
 from hullprice.samples import demo_instance
+from hullprice.ucdp import profit_max
 
 ROOT = Path(__file__).resolve().parents[1]
 BUNDLED = ROOT / "instances" / "demo_two_gen.json"
@@ -111,7 +112,17 @@ class TestPrice:
                      "--format", "csv", "--trace-dp", str(trace)]) == 0
         lines = trace.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "generator,state,t,value,choice"
-        assert any(line.startswith("g2,root,") for line in lines)
+        prices = tuple(float(line.split(",")[2])
+                       for line in capsys.readouterr().out.splitlines()
+                       if line.startswith("tlmp,") and line.count(",") == 2)
+        assert len(prices) == 3
+        roots = {row[0]: float(row[3]) for row in
+                 (line.split(",") for line in lines[1:]) if row[1] == "root"}
+        demo = demo_instance()
+        assert sorted(roots) == [gen.id for gen in demo.generators]
+        for gen in demo.generators:
+            best, _ = profit_max(gen, prices)
+            assert roots[gen.id] == pytest.approx(-best, abs=1e-9)
 
 
 class TestCompare:

@@ -1,8 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
+from scipy.sparse import vstack
 
+from hullprice import ucdp
+from hullprice.formulations import build_euc
 from hullprice.model import (
     CostPiece,
     DurationCostFn,
@@ -10,11 +19,13 @@ from hullprice.model import (
     InitialState,
     PeriodCost,
     check_schedule,
+    fold_prices,
 )
 from hullprice.samples import random_generator, random_prices
 from hullprice.ucdp import (
     EnumerationTooLarge,
     InfeasibleDispatch,
+    IntervalChain,
     brute_force_uc,
     commitment_feasible,
     extract_schedule,
@@ -79,6 +90,143 @@ class TestSolveEd:
         res_end = solve_ed(g2, 3, 3, prices=(0.0, 0.0, 100.0))
         # k = T: no shutdown cap, but a fresh start at t=3 caps at 55
         assert res_end.dispatch[0] == pytest.approx(g2.start_ramp, abs=1e-9)
+
+
+def _variant(rng, gen, kind):
+    """A random unit bent into one of the degenerate shapes."""
+    if kind == "ramp0":
+        return replace(gen, ramp=0.0)
+    if kind == "fixed":
+        return replace(gen, c_max=gen.c_min, start_ramp=gen.c_min)
+    if kind == "start_at_min":
+        return replace(gen, start_ramp=gen.c_min)
+    if kind == "equal_slopes":
+        # each period gains a copy of a piece shifted up or down: one
+        # dominates the other, or they tie at every output
+        shift = float(rng.choice([-5.0, 0.0, 5.0]))
+        return replace(gen, cost=tuple(
+            PeriodCost(pc.pieces + (CostPiece(pc.pieces[0].a,
+                                              pc.pieces[0].b + shift),))
+            for pc in gen.cost))
+    return gen
+
+
+def _chain_corpus():
+    rng = np.random.default_rng(2006)
+    kinds = ("plain", "ramp0", "fixed", "start_at_min", "equal_slopes")
+    for trial in range(60):
+        T = 1 + trial % 8
+        gen = _variant(rng, random_generator(rng, T, f"u{trial}"),
+                       kinds[trial % len(kinds)])
+        pi = random_prices(rng, T) if trial % 7 else None
+        yield trial, gen, pi
+
+
+class TestIntervalChain:
+    def test_agrees_with_lp_oracle(self):
+        checked = 0
+        for trial, gen, pi in _chain_corpus():
+            T, ramp = gen.n_periods, gen.ramp
+            net = pi if pi is not None else (0.0,) * T
+            chain = IntervalChain(gen, pi)
+            for t in range(1, T + 1):
+                for k in range(t, T + 1):
+                    where = (trial, t, k)
+                    ref = solve_ed(gen, t, k, pi)
+                    cost = chain.cost(t, k)
+                    assert cost == pytest.approx(ref.cost, rel=1e-9,
+                                                 abs=1e-9), where
+                    # ties may pick another dispatch than the LP's, so
+                    # check the chain's own dispatch, not equality
+                    x = chain.dispatch(t, k)
+                    assert len(x) == k - t + 1, where
+                    for out in x:
+                        assert gen.c_min - 1e-9 <= out <= gen.c_max + 1e-9
+                    for a, b in zip(x, x[1:]):
+                        assert abs(b - a) <= ramp + 1e-9, where
+                    if not (t == 1 and gen.initial.is_on):
+                        assert x[0] <= gen.start_ramp + 1e-9, where
+                    if k != T:
+                        assert x[-1] <= gen.start_ramp + 1e-9, where
+                    attained = sum(gen.cost[s - 1].value(out) - net[s - 1] * out
+                                   for s, out in zip(range(t, k + 1), x))
+                    assert attained == pytest.approx(cost, rel=1e-9,
+                                                     abs=1e-9), where
+                    checked += 1
+        assert checked >= 600  # every shape and horizon 1..8 is exercised
+
+    def test_empty_interval(self, demo):
+        chain = IntervalChain(demo.generators[1], (1.0, 5.0, 6.0))
+        assert chain.cost(1, 0) == 0.0
+        assert chain.dispatch(1, 0) == ()
+        assert chain.cost(3, 2) == 0.0
+        assert chain.dispatch(3, 2) == ()
+
+    def test_interval_outside_horizon_rejected(self, demo):
+        with pytest.raises(ValueError):
+            IntervalChain(demo.generators[1]).cost(1, 4)
+
+    def test_demo_ramp_window(self, demo):
+        g2 = demo.generators[1]
+        chain = IntervalChain(g2, (0.0, 50.0, 0.0))
+        assert chain.dispatch(1, 3) == pytest.approx((95.0, 100.0, 95.0),
+                                                     abs=1e-9)
+        restart = IntervalChain(g2, (0.0, 100.0, 100.0))
+        assert restart.dispatch(2, 3) == pytest.approx((55.0, 60.0), abs=1e-9)
+
+    def test_run_dp_solves_no_lp(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_dp called the LP solver")
+        monkeypatch.setattr(ucdp, "solve_lp", refuse)
+        rng = np.random.default_rng(48)
+        gen = random_generator(rng, 48, "u")
+        pi = random_prices(rng, 48)
+        value, sched = profit_max(gen, pi)
+        assert check_schedule(gen, sched) == []
+        assert sum(p * x for p, x in zip(pi, sched.x)) - sched.cost == \
+            pytest.approx(value, abs=1e-7)
+
+
+def test_dp_loads_no_scipy():
+    # the LP stack imports scipy with the first LP it builds; the DP
+    # builds none, so a process that only prices best responses skips it
+    code = ("import sys, hullprice\n"
+            "from hullprice.samples import demo_instance\n"
+            "hullprice.profit_max(demo_instance().generators[1], (1.0, 5.0, 6.0))\n"
+            "assert not [m for m in sys.modules if m.startswith('scipy')]\n"
+            "hullprice.solve_ed(demo_instance().generators[1], 1, 3)\n"
+            "assert 'scipy.sparse' in sys.modules\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   timeout=120)
+
+
+def _highs(lp):
+    """HiGHS on a LinearProgram, rows split by sense (sparse)."""
+    A = lp.matrix().tocsr()
+    le, ge, eq = lp.sense == "<=", lp.sense == ">=", lp.sense == "="
+    return linprog(
+        c=np.asarray(lp.objective),
+        A_ub=vstack([A[le], -A[ge]]).tocsc(),
+        b_ub=np.concatenate([lp.rhs[le], -lp.rhs[ge]]),
+        A_eq=A[eq].tocsc() if eq.any() else None,
+        b_eq=lp.rhs[eq] if eq.any() else None,
+        bounds=list(zip(lp.var_lo, lp.var_hi)), method="highs")
+
+
+def test_long_horizon_dp_matches_interval_lp():
+    # brute_force_uc stops at T = 12; the EUC LP of one unit is integral,
+    # so its value is the unit's optimum at any horizon
+    rng = np.random.default_rng(24)
+    for trial in range(3):
+        gen = random_generator(rng, 24, f"u{trial}")
+        pi = random_prices(rng, 24)
+        lp, _ = build_euc(fold_prices(gen, pi))
+        ref = _highs(lp)
+        assert ref.status == 0, (trial, ref.message)
+        dp_obj, _ = run_dp(gen, prices=pi)
+        assert dp_obj == pytest.approx(ref.fun, abs=1e-7), trial
 
 
 class TestRunDp:
