@@ -210,8 +210,7 @@ def build_parser():
     p = sub.add_parser("price", help="compute prices and uplift")
     common(p)
     solver_opts(p)
-    p.add_argument("--method", choices=("chp", "tlmp", "2bin-lp"),
-                   required=True)
+    p.add_argument("--method", choices=pricing.METHODS, required=True)
     p.add_argument("--dump-lp", help="write the system LP in text form")
     p.add_argument("--trace-dp",
                    help="write per-unit value tables at the final prices")

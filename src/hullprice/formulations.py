@@ -50,8 +50,8 @@ class IndexSets:
         return self.tk1 + self.tk2
 
 
-def enumerate_index_sets(gen, T=None):
-    T = gen.n_periods if T is None else T
+def enumerate_index_sets(gen):
+    T = gen.n_periods
     L, ell = gen.L, gen.ell
     init = gen.initial
     if init.is_on:
@@ -125,10 +125,11 @@ def _interval_rows(bld, gen, t, k, T, qcols, phicols, ind_name, first_run):
                         f"euc:{g}:piece:{tag}:s={s}:j={j}")
 
 
-def _euc_block(bld, gen, T):
+def _euc_block(bld, gen):
     """Interval-space block of one generator, added to a shared builder."""
     g = gen.id
-    sets = enumerate_index_sets(gen, T)
+    T = gen.n_periods
+    sets = enumerate_index_sets(gen)
     init = gen.initial
     S = gen.startup_cost.value
     Sp = gen.shutdown_cost.value
@@ -213,18 +214,15 @@ def _euc_block(bld, gen, T):
     return ev
 
 
-def build_euc(gen, T=None):
+def build_euc(gen):
     """Interval-space LP of one generator; returns (LinearProgram, EucVars).
 
     The LP relaxation has integral extreme points, so solving it alone (or
     inside a system tied only by load balance) yields 0/1 interval
     selections at every simplex vertex.
     """
-    T = gen.n_periods if T is None else T
-    if T != gen.n_periods:
-        raise ValueError("horizon does not match the generator's cost data")
     bld = LpBuilder()
-    ev = _euc_block(bld, gen, T)
+    ev = _euc_block(bld, gen)
     return bld.build(), ev
 
 
@@ -244,8 +242,9 @@ class TwoBinVars:
         return sorted(list(self.u.values()) + list(self.v.values()))
 
 
-def _two_bin_block(bld, gen, T):
+def _two_bin_block(bld, gen):
     g = gen.id
+    T = gen.n_periods
     init = gen.initial
     L, ell = gen.L, gen.ell
     S = gen.startup_cost.value
@@ -391,13 +390,10 @@ def _two_bin_block(bld, gen, T):
     return tv
 
 
-def build_2bin(gen, T=None):
+def build_2bin(gen):
     """Commitment-space big-M MIP block; returns (LinearProgram, TwoBinVars)."""
-    T = gen.n_periods if T is None else T
-    if T != gen.n_periods:
-        raise ValueError("horizon does not match the generator's cost data")
     bld = LpBuilder()
-    tv = _two_bin_block(bld, gen, T)
+    tv = _two_bin_block(bld, gen)
     return bld.build(), tv
 
 
@@ -422,7 +418,7 @@ def assemble_meuc(instance):
     bld = LpBuilder()
     blocks = {}
     for gen in instance.generators:
-        blocks[gen.id] = _euc_block(bld, gen, instance.T)
+        blocks[gen.id] = _euc_block(bld, gen)
     balance = []
     for s in range(1, instance.T + 1):
         coeffs = []
@@ -454,7 +450,7 @@ def assemble_2bin(instance):
     bld = LpBuilder()
     blocks = {}
     for gen in instance.generators:
-        blocks[gen.id] = _two_bin_block(bld, gen, instance.T)
+        blocks[gen.id] = _two_bin_block(bld, gen)
     balance = []
     for s in range(1, instance.T + 1):
         coeffs = [(blocks[gen.id].x[s], 1.0) for gen in instance.generators]

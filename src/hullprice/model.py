@@ -216,41 +216,40 @@ def tangent_pieces(alpha, beta, c, lo, hi, n):
     return tuple(pieces)
 
 
-def dominated_piece_indices(pieces, lo, hi, tol=1e-9):
-    """Indices of pieces that never attain the upper envelope on [lo, hi].
+def upper_envelope(pieces, lo, hi):
+    """Kinks of max_j (a_j x + b_j) inside (lo, hi), and the index of the
+    piece that is the max on each stretch: ``active[j]`` holds from
+    ``kinks[j-1]`` to ``kinks[j]``.
 
-    Greedy left-to-right: a piece is dropped if the remaining pieces
-    already cover it everywhere. The max of ``f_j - max(others)`` is
-    concave piecewise-linear, so checking the interval endpoints plus all
-    pairwise crossing points is exact.
+    Walks left to right, each step moving to the piece that overtakes
+    first (ties go to the steepest), so it takes O(n^2) for n pieces. A
+    piece that only touches the envelope at a point is not active; of
+    identical pieces the last one is. The kinks do not depend on a uniform
+    slope shift.
     """
-    n = len(pieces)
-    if n <= 1:
-        return []
-    xs = {lo, hi}
-    for i in range(n):
-        for j in range(i + 1, n):
-            da = pieces[i].a - pieces[j].a
-            if da != 0.0:
-                x = (pieces[j].b - pieces[i].b) / da
-                if lo < x < hi:
-                    xs.add(x)
-    xs = sorted(xs)
-    kept = list(range(n))
-    dropped = []
-    for j in range(n):
-        others = [i for i in kept if i != j]
-        if not others:
-            continue
-        scale = 1.0 + max(abs(pieces[j].value(x)) for x in xs)
-        needed = any(
-            pieces[j].value(x) > max(pieces[i].value(x) for i in others) + tol * scale
-            for x in xs
-        )
-        if not needed:
-            kept.remove(j)
-            dropped.append(j)
-    return dropped
+    cur = max(range(len(pieces)), key=lambda i: (pieces[i].value(lo), i))
+    kinks, active = [], [cur]
+    while True:
+        a, b = pieces[cur].a, pieces[cur].b
+        steeper = [((b - p.b) / (p.a - a), -p.a, -i)
+                   for i, p in enumerate(pieces) if p.a > a]
+        if not steeper:
+            return kinks, active
+        x, _, neg_i = min(steeper)
+        if x >= hi:
+            return kinks, active
+        cur = -neg_i
+        if x > (kinks[-1] if kinks else lo):
+            kinks.append(x)
+            active.append(cur)
+        else:  # overtakes where the last stretch starts (a tie)
+            active[-1] = cur
+
+
+def dominated_piece_indices(pieces, lo, hi):
+    """Indices of pieces that never attain the upper envelope on [lo, hi]."""
+    active = set(upper_envelope(pieces, lo, hi)[1])
+    return [i for i in range(len(pieces)) if i not in active]
 
 
 def prune_dominated(gen):

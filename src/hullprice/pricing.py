@@ -25,6 +25,8 @@ from .formulations import assemble_2bin, assemble_meuc, map_to_schedule
 from .lp import OPTIMAL, solve_lp, verify_duality, with_bounds
 from .ucdp import profit_max
 
+METHODS = ("chp", "tlmp", "2bin-lp")
+
 
 class SolveFailure(RuntimeError):
     """The system MIP or LP did not reach a usable optimum."""
@@ -157,6 +159,8 @@ def price(instance, method, gap_tol=1e-6, node_limit=10 ** 6):
     The "chp" prices are read off the root relaxation of the commitment
     branch and bound, which is the LP price_chp solves.
     """
+    if method not in METHODS:
+        raise ValueError(f"unknown pricing method {method!r}")
     commitment = solve_commitment(instance, gap_tol, node_limit)
     if method == "chp":
         prices, relax = _balance_duals(commitment.model, commitment.mip.root,
@@ -164,10 +168,8 @@ def price(instance, method, gap_tol=1e-6, node_limit=10 ** 6):
     elif method == "tlmp":
         prices, _ = price_tlmp(instance, commitment)
         relax = commitment.objective
-    elif method == "2bin-lp":
-        prices, relax = price_2bin_relaxation(instance)
     else:
-        raise ValueError(f"unknown pricing method {method!r}")
+        prices, relax = price_2bin_relaxation(instance)
     return _report(method, instance, prices, commitment.objective, relax,
                    commitment.schedules)
 

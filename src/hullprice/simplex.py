@@ -37,6 +37,9 @@ OPT_TOL = 1e-7
 DEGEN_STEP = 1e-10
 BLAND_AFTER = 1000
 REFACTOR_EVERY = 200
+# the dense basis inverse and its same-size rank-1 update temporary take
+# 16 m^2 bytes, 1.6 GB at this many rows
+MAX_ROWS = 10_000
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
@@ -46,7 +49,8 @@ _UNIT = np.ones(1)
 
 
 class NumericalFailure(RuntimeError):
-    """Pivoting stalled: iteration cap hit or basis became unusable."""
+    """Pivoting stalled (iteration cap hit or basis became unusable), or the
+    LP has too many rows for the dense basis inverse."""
 
 
 @dataclass(frozen=True)
@@ -67,8 +71,14 @@ class Simplex:
         Reads ``lp.matrix()``, ``lp.rhs``, ``lp.sense``, ``lp.objective``,
         ``lp.var_lo`` and ``lp.var_hi``. The matrix and rhs are used as
         stored; only the cost and bound vectors are copied, extended by the
-        slack part. maxiter defaults to ``50 * (n_vars + n_rows)``.
+        slack part. maxiter defaults to ``50 * (n_vars + n_rows)``. Raises
+        NumericalFailure, before allocating anything, for an LP of more than
+        ``MAX_ROWS`` rows.
         """
+        if lp.n_rows > MAX_ROWS:
+            raise NumericalFailure(
+                f"LP has {lp.n_rows} rows, over the dense-inverse limit of "
+                f"{MAX_ROWS}")
         self.A = lp.matrix()
         # a CSR view sharing A's arrays; made once, as each view costs ~30 us
         self.AT = self.A.T

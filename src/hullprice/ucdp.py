@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from .lp import LpBuilder, solve_lp, OPTIMAL
 from .model import Schedule, closed_runs, evaluate_schedule_cost, \
-    starts_from_commitment
+    starts_from_commitment, upper_envelope
 
 
 class InfeasibleDispatch(RuntimeError):
@@ -108,28 +108,6 @@ class IntervalCostCache:
         return self.result(t, k).dispatch
 
 
-def _envelope(pieces, lo, hi):
-    """Kinks of max_j (a_j x + b_j) inside (lo, hi), and the piece that is
-    the max on each stretch: ``active[j]`` holds from ``kinks[j-1]`` to
-    ``kinks[j]``. The kinks do not depend on a uniform slope shift."""
-    cur = max(pieces, key=lambda p: p.value(lo))
-    kinks, active = [], [cur]
-    while True:
-        steeper = [((cur.b - p.b) / (p.a - cur.a), -p.a, i)
-                   for i, p in enumerate(pieces) if p.a > cur.a]
-        if not steeper:
-            return kinks, active
-        x, _, i = min(steeper)  # first to overtake; ties go to the steepest
-        if x >= hi:
-            return kinks, active
-        cur = pieces[i]
-        if x > (kinks[-1] if kinks else lo):
-            kinks.append(x)
-            active.append(cur)
-        else:  # overtakes where the last stretch starts (a tie)
-            active[-1] = cur
-
-
 def _at(xs, vs, x):
     """Value at x, xs[0] <= x <= xs[-1], of the PWL function (xs, vs)."""
     i = bisect_left(xs, x)
@@ -156,7 +134,7 @@ def _restrict(xs, vs, lo, hi):
 
 def _add_stage(wx, wv, kinks, lines):
     """W + f on W's domain, f = max of ``lines`` with ``kinks`` as in
-    _envelope. Breakpoints are W's plus f's kinks inside W's domain."""
+    upper_envelope. Breakpoints are W's plus f's kinks inside W's domain."""
     xs, vs = [], []
     j = bisect_right(kinks, wx[0])
     px = pw = None
@@ -212,8 +190,9 @@ class IntervalChain:
         self._cap = min(gen.c_max, gen.start_ramp)
         self._stages = []
         for pc, p in zip(gen.cost, pi):
-            kinks, active = _envelope(pc.pieces, gen.c_min, gen.c_max)
-            self._stages.append((kinks, [(q.a - p, q.b) for q in active]))
+            kinks, active = upper_envelope(pc.pieces, gen.c_min, gen.c_max)
+            lines = [(pc.pieces[i].a - p, pc.pieces[i].b) for i in active]
+            self._stages.append((kinks, lines))
         self._passes = {}
 
     def _values(self, t):

@@ -17,6 +17,7 @@ from hullprice.lp import (
     verify_duality,
     with_bounds,
 )
+from hullprice.simplex import MAX_ROWS
 
 
 def _lp(objective, rows, lo, hi):
@@ -70,6 +71,13 @@ class TestKernelExamples:
         lp = _lp([1.0], [(((0, 1.0),), ">=", 3.0)], [-math.inf], [math.inf])
         with pytest.raises(NumericalFailure, match="iteration cap 0"):
             solve_lp(lp, maxiter=0)
+
+    def test_row_limit_raises(self):
+        # one row past the limit would need a ~1.6 GB dense basis inverse
+        m = MAX_ROWS + 1
+        lp = _lp([1.0], [(((0, 1.0),), "<=", 1.0)] * m, [0.0], [1.0])
+        with pytest.raises(NumericalFailure, match=f"{m} rows"):
+            solve_lp(lp)
 
     def test_warm_start_with_basic_slack(self):
         # min x + y  s.t.  x + y >= 1,  x <= 5 (never binding),  x, y >= 0

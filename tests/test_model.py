@@ -1,6 +1,8 @@
 import json
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hullprice.model import (
@@ -24,6 +26,7 @@ from hullprice.model import (
     save_instance,
     starts_from_commitment,
     tangent_pieces,
+    upper_envelope,
     validate,
 )
 from hullprice.samples import demo_instance
@@ -137,6 +140,62 @@ class TestDominatedPieces:
         # two crossing lines: both attain the envelope
         pieces = (CostPiece(1.0, 0.0), CostPiece(-1.0, 5.0))
         assert dominated_piece_indices(pieces, 0.0, 10.0) == []
+
+    def test_envelope_of_demo_g2(self, demo):
+        kinks, active = upper_envelope(_g2(demo).cost[0].pieces, 20.0, 100.0)
+        assert kinks == [60.0]
+        assert active == [0, 1]
+
+    def test_last_of_identical_pieces_is_active(self):
+        pieces = (CostPiece(2.0, 1.0), CostPiece(-1.0, 3.0),
+                  CostPiece(2.0, 1.0), CostPiece(-1.0, 3.0))
+        kinks, active = upper_envelope(pieces, 0.0, 10.0)
+        assert active == [3, 2]
+        assert dominated_piece_indices(pieces, 0.0, 10.0) == [0, 1]
+
+    def test_point_interval_keeps_one_piece(self):
+        # all three pieces are 5 at x = 5
+        pieces = (CostPiece(1.0, 0.0), CostPiece(-1.0, 10.0), CostPiece(0.0, 5.0))
+        assert upper_envelope(pieces, 5.0, 5.0) == ([], [2])
+        assert dominated_piece_indices(pieces, 5.0, 5.0) == [0, 1]
+
+    def test_flat_tangents_collapse_to_one_piece(self):
+        pieces = tangent_pieces(0.0, 5.0, 20.0, 20.0, 100.0, 10)
+        assert upper_envelope(pieces, 20.0, 100.0) == ([], [9])
+        assert dominated_piece_indices(pieces, 20.0, 100.0) == list(range(9))
+
+    def test_envelope_property_corpus(self):
+        # values are exact in Fractions; on integer data the float kinks
+        # order the same way as the exact ones
+        rng = np.random.default_rng(8)
+
+        def val(p, x):
+            return Fraction(p.a) * Fraction(x) + Fraction(p.b)
+
+        for trial in range(400):
+            lo = float(rng.integers(0, 10))
+            hi = lo + float(rng.integers(0, 10))
+            if trial % 4 == 0:
+                pieces = tangent_pieces(float(rng.integers(0, 3)) / 4, 1.0,
+                                        0.0, lo, hi, int(rng.integers(1, 8)))
+            else:
+                pieces = tuple(CostPiece(float(a), float(b)) for a, b in
+                               rng.integers(-4, 5, size=(rng.integers(1, 9), 2)))
+            kinks, active = upper_envelope(pieces, lo, hi)
+            assert len(active) == len(kinks) + 1
+            assert kinks == sorted(kinks) and all(lo < k < hi for k in kinks)
+            ends = [lo] + kinks + [hi]
+            for j, i in enumerate(active):
+                mid = (Fraction(ends[j]) + Fraction(ends[j + 1])) / 2
+                assert val(pieces[i], mid) == max(val(p, mid) for p in pieces)
+                assert all(val(pieces[i], mid) > val(pieces[o], mid)
+                           for o in active if o != i), (trial, pieces)
+            dropped = dominated_piece_indices(pieces, lo, hi)
+            assert sorted(dropped + active) == list(range(len(pieces)))
+            for d in dropped:
+                for x in ends:
+                    assert val(pieces[d], x) <= max(val(pieces[i], x)
+                                                    for i in active)
 
     def test_prune_dominated_reports_warning(self, demo):
         g = _g2(demo)

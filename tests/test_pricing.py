@@ -133,8 +133,11 @@ class TestCompare:
             assert cmp.chp.total_uplift == pytest.approx(identity,
                                                          abs=1e-6), trial
 
-    def test_unknown_method_rejected(self, demo):
-        with pytest.raises(ValueError):
+    def test_unknown_method_rejected(self, demo, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before checking the method")
+        monkeypatch.setattr(pricing, "solve_commitment", no_solve)
+        with pytest.raises(ValueError, match="unknown pricing method"):
             price(demo, "vcg")
 
 
