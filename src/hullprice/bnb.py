@@ -104,16 +104,16 @@ def solve_mip(problem, gap_tol=1e-6, node_limit=10 ** 6, int_tol=INT_TOL):
     while heap or stack:
         if node_count >= node_limit:
             open_bounds = [e[0] for e in heap] + [e[0] for e in stack]
-            bound = min(open_bounds) if open_bounds else inc_obj
-            return result("NodeLimit", bound)
+            return result("NodeLimit", min(open_bounds + [inc_obj]))
         if stack:
             parent_bound, _, fixes, basis = stack.pop()
         else:
             parent_bound, _, fixes, basis = heapq.heappop(heap)
             if (incumbent is not None
                     and inc_obj - parent_bound <= gap_tol):
-                # heap is bound-ordered: every open node is at least this
-                return result(OPTIMAL, parent_bound)
+                # heap is bound-ordered: every open node is at least this,
+                # and an open node above the incumbent bounds nothing
+                return result(OPTIMAL, min(parent_bound, inc_obj))
         if parent_bound >= inc_obj - PRUNE_MARGIN:
             continue
         sol = _node_solve(lp, fixes, basis)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 
 class ParseError(ValueError):
@@ -165,11 +165,17 @@ class GeneratorSpec:
 
 @dataclass(frozen=True)
 class SystemInstance:
-    """A demand profile plus the units available to serve it."""
+    """A demand profile plus the units available to serve it.
+
+    ``diagnostics`` holds the warnings found when the instance was parsed,
+    such as the dominated cost pieces removed on load; it is empty for an
+    instance built in code and takes no part in equality.
+    """
 
     T: int
     demand: tuple[float, ...]
     generators: tuple[GeneratorSpec, ...]
+    diagnostics: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.T, int) or isinstance(self.T, bool) or self.T < 1:
@@ -388,6 +394,10 @@ def validate(instance):
     suspicious data (capacity shortfall, dominated cost pieces,
     non-monotone startup cost tables).
     """
+    return _validate(instance, check_pieces=True)
+
+
+def _validate(instance, check_pieces):
     diags = []
     seen = set()
     for gi, g in enumerate(instance.generators):
@@ -399,7 +409,7 @@ def validate(instance):
             diags.append(Diagnostic(
                 "error", f"{where}.cost",
                 f"covers {g.n_periods} periods, expected T={instance.T}"))
-        for t, pc in enumerate(g.cost):
+        for t, pc in enumerate(g.cost if check_pieces else ()):
             drop = dominated_piece_indices(pc.pieces, g.c_min, g.c_max)
             if drop:
                 diags.append(Diagnostic(
@@ -507,7 +517,9 @@ def parse_instance(doc, quad_pieces=10):
 
     Structural problems (wrong shapes, unknown fields) raise ParseError at
     the first offence; value problems are collected and raised together as
-    ValidationError. Dominated cost pieces are pruned on load.
+    ValidationError. Dominated cost pieces are pruned on load; the
+    instance's ``diagnostics`` carry a warning for each period pruned and
+    ``validate``'s other warnings.
     """
     if not isinstance(doc, dict):
         raise ParseError("top level: expected an object")
@@ -580,17 +592,20 @@ def parse_instance(doc, quad_pieces=10):
             id=gid, L=L, ell=ell, c_min=c_min, c_max=c_max, ramp=ramp,
             start_ramp=start_ramp, startup_cost=su, shutdown_cost=sd,
             cost=cost, initial=InitialState(**{key: dur}))
-        gen, _ = prune_dominated(gen)
+        gen, pruned = prune_dominated(gen)
+        diags.extend(pruned)
         gens.append(gen)
 
     errors = [d for d in diags if d.severity == "error"]
     if errors:
         raise ValidationError(errors)
     instance = SystemInstance(T=T, demand=demand, generators=tuple(gens))
-    errors = [d for d in validate(instance) if d.severity == "error"]
+    # pruning left no dominated piece, so validate skips that walk
+    diags.extend(_validate(instance, check_pieces=False))
+    errors = [d for d in diags if d.severity == "error"]
     if errors:
         raise ValidationError(errors)
-    return instance
+    return replace(instance, diagnostics=tuple(diags))
 
 
 def load_instance(path, quad_pieces=10):

@@ -12,6 +12,9 @@ Implementation notes:
 
 * the basis inverse is kept explicitly (dense) and updated by a rank-1
   elimination per pivot, with periodic refactorization from scratch;
+  the pivot column w = B^{-1} a_j is mostly zeros, so the update and the
+  ratio test run over its nonzero rows only, and the masks of columns
+  allowed to enter change only for the columns a pivot moves;
 * phase 1 minimizes the total bound violation of the basic variables
   (composite phase 1, no artificial columns), so any starting basis can
   be repaired, which branch and bound uses to warm start child nodes;
@@ -91,6 +94,7 @@ class Simplex:
                                   np.where(lp.sense == ">=", -np.inf, 0.0)])
         self.hi = np.concatenate([np.asarray(lp.var_hi, dtype=float),
                                   np.where(lp.sense == "<=", np.inf, 0.0)])
+        self.movable = self.hi > self.lo
         self.maxiter = 50 * (n + m) if maxiter is None else maxiter
         self.iterations = 0
         self.degenerate = 0
@@ -106,11 +110,12 @@ class Simplex:
         return a.indices[start:end], a.data[start:end]
 
     def _refactor(self):
-        m = self.m
+        m, n, basis = self.m, self.n, self.basis
         B = np.zeros((m, m))
-        for i, j in enumerate(self.basis):
-            rows, vals = self._column(j)
-            B[rows, i] = vals
+        struct = basis < n
+        B[:, struct] = self.A[:, basis[struct]].toarray()
+        slack = np.flatnonzero(~struct)
+        B[basis[slack] - n, slack] = 1.0
         try:
             self.Binv = np.linalg.inv(B)
         except np.linalg.LinAlgError as exc:
@@ -156,6 +161,9 @@ class Simplex:
             self.vstat[self.basis] = BASIC
             self.Binv = np.eye(m)
         self.vstat[self.basis] = BASIC
+        self.can_up = np.empty(n + m, dtype=bool)
+        self.can_dn = np.empty(n + m, dtype=bool)
+        self._refresh_masks(slice(None))
         self.xb = np.zeros(m)
         self._recompute_basics()
 
@@ -171,13 +179,17 @@ class Simplex:
         cb[self.xb > self.hi[self.basis] + FEAS_TOL] = 1.0
         return cb
 
+    def _refresh_masks(self, cols):
+        """Whether the nonbasic columns ``cols`` may enter moving up or
+        down; a pivot changes them only for the columns it moves."""
+        st = self.vstat[cols]
+        free = st == FREE
+        self.can_up[cols] = free | ((st == AT_LO) & self.movable[cols])
+        self.can_dn[cols] = free | ((st == AT_UP) & self.movable[cols])
+
     def _pick_entering(self, d, bland):
-        movable = self.hi > self.lo
-        up_ok = (self.vstat == AT_LO) & movable & (d < -OPT_TOL)
-        dn_ok = (self.vstat == AT_UP) & movable & (d > OPT_TOL)
-        fr = self.vstat == FREE
-        up_ok |= fr & (d < -OPT_TOL)
-        dn_ok |= fr & (d > OPT_TOL)
+        up_ok = self.can_up & (d < -OPT_TOL)
+        dn_ok = self.can_dn & (d > OPT_TOL)
         any_ok = up_ok | dn_ok
         if not any_ok.any():
             return None, 0
@@ -193,34 +205,28 @@ class Simplex:
     def _ratio_test(self, j, direction, w, phase1):
         """Step length and leaving row for entering column j moving by
         ``direction`` (+1 up, -1 down). Returns (theta, row or None) where
-        row None means the entering variable hits its own opposite bound."""
-        delta = -direction * w  # change of basic values per unit step
-        lo_b = self.lo[self.basis]
-        hi_b = self.hi[self.basis]
-        xb = self.xb
-
-        target = np.full(self.m, np.nan)
-        moving_up = delta > PIVOT_TOL
-        moving_dn = delta < -PIVOT_TOL
+        row None means the entering variable hits its own opposite bound.
+        Only rows with |w| > PIVOT_TOL can block the step, so the test
+        runs over those."""
+        rows = np.flatnonzero(np.abs(w) > PIVOT_TOL)
+        delta = -direction * w[rows]  # change of basic values per unit step
+        basic = self.basis[rows]
+        lo_b, hi_b = self.lo[basic], self.hi[basic]
+        xb = self.xb[rows]
+        up = delta > 0.0
+        target = np.where(up, hi_b, lo_b)
         if phase1:
+            # an infeasible basic blocks at the bound it moves toward
             below = xb < lo_b - FEAS_TOL
             above = xb > hi_b + FEAS_TOL
-            inside = ~below & ~above
-            np.copyto(target, lo_b, where=below & moving_up)
-            np.copyto(target, hi_b, where=above & moving_dn)
-            np.copyto(target, hi_b, where=inside & moving_up)
-            np.copyto(target, lo_b, where=inside & moving_dn)
-        else:
-            np.copyto(target, hi_b, where=moving_up)
-            np.copyto(target, lo_b, where=moving_dn)
-        target[~np.isfinite(target)] = np.nan
+            np.copyto(target, lo_b, where=below & up)
+            np.copyto(target, hi_b, where=above & ~up)
+            target[(below & ~up) | (above & up)] = np.nan
 
-        with np.errstate(invalid="ignore", divide="ignore"):
-            steps = (target - xb) / delta
-        blocked = np.isfinite(steps)
-        steps = np.where(blocked, np.maximum(steps, 0.0), np.inf)
+        steps = (target - xb) / delta
+        steps = np.where(np.isfinite(steps), np.maximum(steps, 0.0), np.inf)
 
-        theta = float(steps.min()) if self.m else np.inf
+        theta = float(steps.min()) if rows.size else np.inf
         own = self.hi[j] - self.lo[j]  # own range; inf for free/one-sided
         if self.vstat[j] != FREE and np.isfinite(own) and own < theta:
             return own, None
@@ -228,9 +234,10 @@ class Simplex:
             return np.inf, None
         # among (near-)minimal ratios prefer the largest pivot magnitude,
         # then the lowest row index, so reruns take identical paths
-        cand = np.nonzero(steps <= theta + 1e-12)[0]
-        r = int(cand[np.lexsort((cand, -np.abs(w[cand])))[0]])
-        return max(theta, 0.0), r
+        cand = rows[steps <= theta + 1e-12]
+        if cand.size > 1:
+            cand = cand[np.lexsort((cand, -np.abs(w[cand])))]
+        return max(theta, 0.0), int(cand[0])
 
     # -- pivoting ------------------------------------------------------------
 
@@ -243,6 +250,7 @@ class Simplex:
             # bound flip: variable walked to its other bound
             self.vstat[j] = AT_UP if self.vstat[j] == AT_LO else AT_LO
             self.xval[j] = self.hi[j] if self.vstat[j] == AT_UP else self.lo[j]
+            self._refresh_masks(j)
             return
         leaving = self.basis[r]
         if abs(w[r]) < PIVOT_TOL:
@@ -259,9 +267,12 @@ class Simplex:
         self.basis[r] = j
         self.vstat[j] = BASIC
         self.xb[r] = self.xval[j]
-        # rank-1 update of the inverse
+        self._refresh_masks(j)
+        self._refresh_masks(leaving)
+        # rank-1 update of the inverse; rows where w is zero keep their values
         piv = self.Binv[r, :] / w[r]
-        self.Binv -= np.outer(w, piv)
+        nz = np.flatnonzero(w)
+        self.Binv[nz] -= np.outer(w[nz], piv)
         self.Binv[r, :] = piv
         self.since_refactor += 1
         if self.since_refactor >= REFACTOR_EVERY:
@@ -271,6 +282,7 @@ class Simplex:
     # -- main loop -----------------------------------------------------------
 
     def _iterate(self, phase1):
+        c = np.zeros_like(self.c) if phase1 else self.c
         while True:
             if phase1:
                 cb = self._phase1_costs()
@@ -279,7 +291,7 @@ class Simplex:
             else:
                 cb = self.c[self.basis]
             y = cb @ self.Binv
-            d = self._reduced_costs(self.c * (0.0 if phase1 else 1.0), y)
+            d = self._reduced_costs(c, y)
             d[self.basis] = 0.0
             bland = self.degenerate >= BLAND_AFTER
             j, direction = self._pick_entering(d, bland)

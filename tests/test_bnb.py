@@ -63,6 +63,28 @@ class TestHandExamples:
             # the reported bound must under-estimate the true optimum
             assert res.bound <= -2.0 + 1e-9
 
+    def test_bound_never_exceeds_incumbent(self):
+        # a draw of _random_mip whose last open node sits above the
+        # incumbent: the search closes with that node's bound, 11.33,
+        # which must not be reported as a bound on the optimum 0
+        lp = LinearProgram(
+            n_vars=6, objective=(2.0, 5.0, 0.0, 4.0, 0.0, -5.0),
+            rows=((((2, 4.0), (4, -4.0), (5, -3.0), (0, -2.0)), ">=", -6.0),
+                  (((5, 4.0), (4, -4.0), (1, 4.0), (3, -3.0), (0, 1.0)),
+                   "<=", -2.0),
+                  (((3, 2.0), (5, 2.0), (0, -3.0), (4, -1.0), (2, 4.0)),
+                   "<=", 2.0)),
+            var_lo=(0.0,) * 6, var_hi=(10.0, 2.0, 2.0, 3.0, 10.0, 2.0))
+        problem = MipProblem(lp, (1, 2, 3, 5))
+        res = solve_mip(problem)
+        assert res.status == "Optimal"
+        assert res.objective == pytest.approx(0.0, abs=1e-9)
+        assert res.bound <= res.objective
+        # the node limit stops with only that node open
+        res = solve_mip(problem, node_limit=8)
+        assert res.status == "NodeLimit"
+        assert res.bound <= res.objective
+
     def test_deterministic_reruns(self):
         a = solve_mip(_knapsack())
         b = solve_mip(_knapsack())

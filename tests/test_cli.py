@@ -50,6 +50,18 @@ class TestValidate:
         assert main(["validate", "--instance", str(bad)]) == 1
         assert "ramp" in capsys.readouterr().err
 
+    def test_dominated_piece_is_reported(self, tmp_path, capsys):
+        doc = instance_to_doc(demo_instance())
+        doc["generators"][1]["cost"][0].append({"a": 4, "b": -100})
+        path = tmp_path / "dominated.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", "--instance", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert out.strip() == "ok"
+        assert err.splitlines() == [
+            "warning: g2.cost[0]: removed 1 dominated piece(s) at "
+            "positions [2]"]
+
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")
         assert main(["validate", "--instance", missing]) == 2

@@ -1,5 +1,6 @@
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hullprice.lp import (
     verify_duality,
     with_bounds,
 )
-from hullprice.simplex import MAX_ROWS
+from hullprice.simplex import AT_LO, AT_UP, BASIC, FREE, MAX_ROWS, Simplex
 
 
 def _lp(objective, rows, lo, hi):
@@ -239,6 +240,22 @@ class TestDeterminism:
         assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
         assert warm.iterations <= cold.iterations
 
+    def test_demo_pivot_path_is_pinned(self):
+        # exact counts of the demo's solves: a kernel change that moves
+        # the pivot path, and with it the published digits, fails here
+        from hullprice import pricing
+        from hullprice.formulations import assemble_2bin, assemble_meuc
+        from hullprice.samples import demo_instance
+        inst = demo_instance()
+        root = solve_lp(assemble_meuc(inst).lp)
+        assert (root.status, root.iterations) == (OPTIMAL, 56)
+        assert root.objective == 828.0000000000001
+        commit = pricing.solve_commitment(inst)
+        assert commit.mip.node_count == 9
+        fixed = pricing._fix_commitment(assemble_2bin(inst), inst,
+                                        commit.schedules)
+        assert solve_lp(fixed.lp).iterations == 18
+
 
 def _scipy_solve(lp):
     c = np.asarray(lp.objective)
@@ -283,6 +300,127 @@ def test_fuzz_against_reference_solver():
         else:
             assert ref.status == 3
     assert optimal >= 60  # the corpus must actually exercise the solver
+
+
+def _kernel_lp(rng):
+    """Small LP whose columns are short boxes, free, or one-sided. Costs
+    never favour an unbounded ray. Most rows hold at a point inside the
+    bounds, and ``>=`` rows mostly start with their slack above 0."""
+    n = int(rng.integers(3, 9))
+    m = int(rng.integers(2, 7))
+    kind = rng.choice(4, size=n, p=[0.5, 0.2, 0.15, 0.15])
+    base = rng.integers(-3, 4, size=n).astype(float)
+    width = rng.choice([0.25, 0.5, 1.0, 2.0], size=n)
+    lo = np.select([kind == 0, kind == 2], [base, 0.0], -math.inf)
+    hi = np.select([kind == 0, kind == 3], [base + width, base], math.inf)
+    cost = rng.integers(-5, 6, size=n).astype(float)
+    obj = np.select([kind == 1, kind == 2, kind == 3],
+                    [0.0, np.abs(cost), -np.abs(cost)], cost)
+    point = np.clip(base + width * rng.random(n), lo, hi)
+    rows = []
+    for _ in range(m):
+        nz = rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False)
+        coeffs = tuple((int(j), float(rng.integers(-4, 5)) or 1.0)
+                       for j in nz)
+        sense = (">=", ">=", "<=", "=")[int(rng.integers(0, 4))]
+        at = sum(a * point[j] for j, a in coeffs)
+        rhs = {">=": math.floor(at), "<=": math.ceil(at), "=": at}[sense] \
+            if rng.random() < 0.9 else float(rng.integers(-6, 7))
+        rows.append((coeffs, sense, float(rhs)))
+    return LinearProgram(n_vars=n, objective=tuple(obj.tolist()),
+                         rows=tuple(rows), var_lo=tuple(lo.tolist()),
+                         var_hi=tuple(hi.tolist()))
+
+
+def _exchanged_basis(rng, lp, basis):
+    """``basis`` one exchange away, with a pivot element of at least 1/2,
+    and every nonbasic column at a random finite bound (free if none)."""
+    cols, vstat = list(basis[0]), list(basis[1])
+    n, m = lp.n_vars, lp.n_rows
+    full = np.hstack([lp.matrix().toarray(), np.eye(m)])
+    lo = np.concatenate([lp.var_lo, np.where(lp.sense == ">=", -math.inf, 0)])
+    hi = np.concatenate([lp.var_hi, np.where(lp.sense == "<=", math.inf, 0)])
+    for k in rng.permutation([k for k in range(n + m) if vstat[k] != BASIC]):
+        w = np.linalg.solve(full[:, cols], full[:, k])
+        rows = np.flatnonzero(np.abs(w) >= 0.5)
+        if rows.size:
+            cols[int(rng.choice(rows))] = int(k)
+            break
+    for k in range(n + m):
+        ends = [s for s, b in ((AT_LO, lo[k]), (AT_UP, hi[k]))
+                if math.isfinite(b)]
+        vstat[k] = BASIC if k in cols else \
+            int(rng.choice(ends)) if ends else FREE
+    return tuple(cols), tuple(vstat)
+
+
+def test_kernel_corpus_against_reference_solver(monkeypatch):
+    """Paths the commitment LPs rarely take: bound flips on short boxes,
+    free columns entering, phase 1 from ``>=`` slacks above their bound,
+    and warm starts from an exchanged basis and from shifted boxes."""
+    seen = Counter()
+    ratio_test = Simplex._ratio_test
+
+    def counting(self, j, direction, w, phase1):
+        theta, r = ratio_test(self, j, direction, w, phase1)
+        seen["flip"] += r is None and math.isfinite(theta)
+        seen["free"] += self.vstat[j] == FREE
+        return theta, r
+
+    monkeypatch.setattr(Simplex, "_ratio_test", counting)
+
+    def check(lp, ours):
+        ref = _scipy_solve(lp)
+        if ours.status == OPTIMAL:
+            assert ref.status == 0, f"reference disagrees: {ref.status}"
+            assert ours.objective == pytest.approx(ref.fun, abs=1e-7)
+            report = verify_duality(lp, ours)
+            assert report.ok, report
+            seen["optimal"] += 1
+        else:
+            assert ours.status == INFEASIBLE and ref.status == 2
+
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        lp = _kernel_lp(rng)
+        cold = solve_lp(lp)
+        check(lp, cold)
+        if cold.status != OPTIMAL:
+            continue
+        check(lp, solve_lp(lp, basis=_exchanged_basis(rng, lp, cold.basis)))
+        shifts = {j: (lp.var_lo[j] + s, lp.var_hi[j] + s)
+                  for j in range(lp.n_vars)
+                  if math.isfinite(lp.var_lo[j] + lp.var_hi[j])
+                  for s in [float(rng.choice([-1.0, -0.5, 0.5, 1.0]))]
+                  if rng.random() < 0.5}
+        if shifts:
+            shifted = with_bounds(lp, shifts)
+            check(shifted, solve_lp(shifted, basis=cold.basis))
+    # the corpus must actually exercise these paths
+    assert seen["optimal"] >= 300 and seen["flip"] >= 100
+    assert seen["free"] >= 100
+
+
+def test_refactor_matches_column_loop():
+    # the reference places each basic column of [A I] one at a time
+    rng = np.random.default_rng(3)
+    checked = 0
+    for _ in range(40):
+        lp = _kernel_lp(rng)
+        sol = solve_lp(lp)
+        if sol.status != OPTIMAL:
+            continue
+        engine = Simplex(lp)
+        engine.basis = np.array(sol.basis[0])
+        engine._refactor()
+        full = np.hstack([lp.matrix().toarray(), np.eye(lp.n_rows)])
+        B = np.zeros((lp.n_rows, lp.n_rows))
+        for i, j in enumerate(sol.basis[0]):
+            B[:, i] = full[:, j]
+        assert np.array_equal(engine.Binv, np.linalg.inv(B))
+        checked += any(j < lp.n_vars for j in sol.basis[0]) and \
+            any(j >= lp.n_vars for j in sol.basis[0])
+    assert checked >= 10  # bases that mix structural and slack columns
 
 
 def test_dump_writes_readable_model(tmp_path):
