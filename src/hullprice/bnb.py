@@ -6,13 +6,19 @@ warm-started node relaxations, and a rounding heuristic at the root. Meant
 for the commitment MIPs built in this package: the integer columns are
 0/1 selection variables and node feasibility repair is just an LP resolve
 with tightened bounds.
+
+Every node after the root starts from its parent's final basis. The child
+the dive takes next, and the rounding heuristic at the root, also inherit
+the parent's basis inverse, so they skip the refactorization; children
+left for later in the bound-ordered heap keep the basis alone and
+refactor when popped. Solutions handed back hold no inverse.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, NumericalFailure, solve_lp, \
     with_bounds
@@ -57,14 +63,15 @@ def _node_solve(lp, fixes, basis):
     return solve_lp(node_lp)
 
 
-def _round_and_fix(problem, x):
-    """Fix every integer column at its rounded value and resolve."""
+def _round_and_fix(problem, root):
+    """Fix every integer column at its rounded value in the root
+    relaxation ``root`` and resolve from the root's basis and inverse."""
     updates = {}
     for j in problem.integer_cols:
-        v = float(round(x[j]))
+        v = float(round(root.primal[j]))
         v = min(max(v, problem.lp.var_lo[j]), problem.lp.var_hi[j])
         updates[j] = (v, v)
-    sol = solve_lp(with_bounds(problem.lp, updates))
+    sol = _node_solve(problem.lp, updates, root.basis + root.inverse)
     return sol if sol.status == OPTIMAL else None
 
 
@@ -73,28 +80,29 @@ def solve_mip(problem, gap_tol=1e-6, node_limit=10 ** 6, int_tol=INT_TOL):
 
     Returns a MipSolution; status is "Optimal", "Infeasible", "Unbounded",
     or "NodeLimit" (best incumbent so far with the proven bound and gap).
-    Its ``root`` is the first node's cold ``solve_lp(problem.lp)``; None
-    only if the node limit stops the search before that node.
+    Its ``root`` is the first node's cold ``solve_lp(problem.lp)``,
+    without the inverse; None only if the node limit stops the search
+    before that node.
     """
     lp = problem.lp
     root = None
-    incumbent = None
+    incumbent = None   # primal of the best integral solution
     inc_obj = math.inf
     node_count = 0
     seq = 0
-    heap = []    # (parent bound, seq, fixes, warm-start basis)
-    stack = []   # dive entries, same layout
+    heap = []    # (parent bound, seq, fixes, parent's basis)
+    stack = []   # the dive's next node, its basis extended by the inverse
 
     def record(sol):
         nonlocal incumbent, inc_obj
         if sol.objective < inc_obj - PRUNE_MARGIN:
-            incumbent, inc_obj = sol, sol.objective
+            incumbent, inc_obj = sol.primal, sol.objective
 
     def result(status, bound=math.nan):
         if incumbent is None:
             return MipSolution(status=status, bound=bound,
                                node_count=node_count, root=root)
-        return MipSolution(status=status, primal=incumbent.primal,
+        return MipSolution(status=status, primal=incumbent,
                            objective=inc_obj, bound=bound,
                            gap=max(inc_obj - bound, 0.0),
                            node_count=node_count, root=root)
@@ -119,7 +127,7 @@ def solve_mip(problem, gap_tol=1e-6, node_limit=10 ** 6, int_tol=INT_TOL):
         sol = _node_solve(lp, fixes, basis)
         node_count += 1
         if root is None:
-            root = sol
+            root = replace(sol, inverse=None)
         if sol.status == UNBOUNDED:
             # only possible at the root: fixing binaries never unbounds
             return result("Unbounded")
@@ -129,7 +137,7 @@ def solve_mip(problem, gap_tol=1e-6, node_limit=10 ** 6, int_tol=INT_TOL):
             continue
         if not heuristic_done:
             heuristic_done = True
-            cand = _round_and_fix(problem, sol.primal)
+            cand = _round_and_fix(problem, sol)
             if cand is not None:
                 record(cand)
             if sol.objective >= inc_obj - PRUNE_MARGIN:
@@ -149,7 +157,7 @@ def solve_mip(problem, gap_tol=1e-6, node_limit=10 ** 6, int_tol=INT_TOL):
         seq += 1
         heapq.heappush(heap, (sol.objective, seq, far, sol.basis))
         seq += 1
-        stack.append((sol.objective, seq, near, sol.basis))
+        stack.append((sol.objective, seq, near, sol.basis + sol.inverse))
 
     if incumbent is None:
         return result(INFEASIBLE)

@@ -7,6 +7,7 @@ Subcommands: validate, solve, price, compare. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -176,7 +177,9 @@ def cmd_compare(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser; built on the first call, then shared."""
     parser = argparse.ArgumentParser(
         prog="hullprice",
         description="Convex hull pricing for multi-generator unit "

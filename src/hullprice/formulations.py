@@ -437,6 +437,36 @@ def assemble_meuc(instance):
                      integer_cols=tuple(sorted(integer_cols)))
 
 
+def _euc_row_count(gen):
+    """Rows ``_euc_block`` adds for ``gen``, counted the way it adds them."""
+    T, L, ell = gen.n_periods, gen.L, gen.ell
+    sets = enumerate_index_sets(gen)
+    init = gen.initial
+    if init.is_on:
+        t0 = init.t0(L)
+        # select, a flow row per shutdown node, a start row per restart
+        rows = 1 + max(T - t0, 0) + max(T - t0 - ell, 0)
+    else:
+        tf = max(init.t0_minus(ell), 1)
+        # select, a start row per w_t, a flow row per theta_t
+        rows = 1 + max(T - tf + 1, 0) + max(T - ell - tf - L + 1, 0)
+    pieces = [0]   # pieces[s]: cost pieces of periods 1..s
+    for period in gen.cost:
+        pieces.append(pieces[-1] + len(period.pieces))
+    for first_run, runs in ((True, sets.tk1), (False, sets.tk2)):
+        for t, k in runs:
+            # output bounds, ramp caps, the ramp chain and the epigraphs
+            rows += 2 * (k - t + 1) + (not first_run) + (k != T) \
+                + 2 * (k - t) + pieces[k] - pieces[t - 1]
+    return rows
+
+
+def meuc_row_count(instance):
+    """``assemble_meuc(instance).lp.n_rows``, without building anything."""
+    return instance.T + sum(_euc_row_count(gen)
+                            for gen in instance.generators)
+
+
 @dataclass
 class TwoBinModel:
     lp: object

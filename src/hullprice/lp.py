@@ -17,7 +17,7 @@ import numpy as np
 
 # the engine's result type and status words are re-exported from here
 from .simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED,  # noqa: F401
-                      LpSolution, NumericalFailure, Simplex)
+                      LpSolution, NumericalFailure, Simplex, check_rows)
 
 SENSES = ("<=", ">=", "=")
 

@@ -21,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .bnb import MipProblem, solve_mip
-from .formulations import assemble_2bin, assemble_meuc, map_to_schedule
-from .lp import OPTIMAL, solve_lp, verify_duality, with_bounds
+from .formulations import (assemble_2bin, assemble_meuc, map_to_schedule,
+                           meuc_row_count)
+from .lp import OPTIMAL, check_rows, solve_lp, verify_duality, with_bounds
 from .ucdp import profit_max
 
 METHODS = ("chp", "tlmp", "2bin-lp")
@@ -66,7 +67,11 @@ class CommitmentResult:
 
 
 def solve_commitment(instance, gap_tol=1e-6, node_limit=10 ** 6):
-    """System MIP on the interval-space encoding; schedules per unit."""
+    """System MIP on the interval-space encoding; schedules per unit.
+
+    Raises NumericalFailure before assembling an LP over the row limit.
+    """
+    check_rows(meuc_row_count(instance))
     meuc = assemble_meuc(instance)
     res = solve_mip(MipProblem(meuc.lp, meuc.integer_cols),
                     gap_tol=gap_tol, node_limit=node_limit)
@@ -100,7 +105,11 @@ def _balance_duals(model, sol, what):
 
 
 def price_chp(instance):
-    """Convex hull prices and the relaxation objective they certify."""
+    """Convex hull prices and the relaxation objective they certify.
+
+    Raises NumericalFailure before assembling an LP over the row limit.
+    """
+    check_rows(meuc_row_count(instance))
     meuc = assemble_meuc(instance)
     return _balance_duals(meuc, solve_lp(meuc.lp), "system LP")
 

@@ -15,6 +15,13 @@ Implementation notes:
   the pivot column w = B^{-1} a_j is mostly zeros, so the update and the
   ratio test run over its nonzero rows only, and the masks of columns
   allowed to enter change only for the columns a pivot moves;
+* a refactorization whose growth max|B| * max|B^{-1}| exceeds
+  ``MAX_GROWTH`` is refused as numerically singular, so a warm start
+  from such a basis falls back to the cold start;
+* an optimal ``LpSolution`` carries its final inverse and the count of
+  updates since that inverse was last refactored; a warm start handed
+  both copies the inverse instead of refactoring it, and keeps counting
+  toward ``REFACTOR_EVERY`` from there;
 * phase 1 minimizes the total bound violation of the basic variables
   (composite phase 1, no artificial columns), so any starting basis can
   be repaired, which branch and bound uses to warm start child nodes;
@@ -28,7 +35,7 @@ Implementation notes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,6 +50,8 @@ REFACTOR_EVERY = 200
 # the dense basis inverse and its same-size rank-1 update temporary take
 # 16 m^2 bytes, 1.6 GB at this many rows
 MAX_ROWS = 10_000
+# bases of the benchmark's LPs reach 2.25e5; a near-zero exchange gives 1e12+
+MAX_GROWTH = 1e10
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
@@ -56,6 +65,15 @@ class NumericalFailure(RuntimeError):
     LP has too many rows for the dense basis inverse."""
 
 
+def check_rows(n_rows):
+    """Raise NumericalFailure if an LP of ``n_rows`` rows is over
+    ``MAX_ROWS``."""
+    if n_rows > MAX_ROWS:
+        raise NumericalFailure(
+            f"LP has {n_rows} rows, over the dense-inverse limit of "
+            f"{MAX_ROWS}")
+
+
 @dataclass(frozen=True)
 class LpSolution:
     status: str
@@ -65,6 +83,10 @@ class LpSolution:
     objective: float = math.nan
     iterations: int = 0
     basis: tuple = None
+    # (B^{-1}, updates since its refactorization) at the final basis;
+    # ``basis + inverse`` warm-starts an LP of the same matrix without
+    # refactoring
+    inverse: tuple = field(default=None, repr=False, compare=False)
 
 
 class Simplex:
@@ -78,10 +100,7 @@ class Simplex:
         NumericalFailure, before allocating anything, for an LP of more than
         ``MAX_ROWS`` rows.
         """
-        if lp.n_rows > MAX_ROWS:
-            raise NumericalFailure(
-                f"LP has {lp.n_rows} rows, over the dense-inverse limit of "
-                f"{MAX_ROWS}")
+        check_rows(lp.n_rows)
         self.A = lp.matrix()
         # a CSR view sharing A's arrays; made once, as each view costs ~30 us
         self.AT = self.A.T
@@ -117,9 +136,14 @@ class Simplex:
         slack = np.flatnonzero(~struct)
         B[basis[slack] - n, slack] = 1.0
         try:
-            self.Binv = np.linalg.inv(B)
+            Binv = np.linalg.inv(B)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure("singular basis") from exc
+        growth = np.abs(B).max(initial=0.0) * np.abs(Binv).max(initial=0.0)
+        if not growth <= MAX_GROWTH:
+            raise NumericalFailure(
+                f"numerically singular basis (growth {growth:.3g})")
+        self.Binv = Binv
         self.since_refactor = 0
 
     def _ftran(self, j):
@@ -138,16 +162,21 @@ class Simplex:
     def _start(self, warm):
         m, n = self.m, self.n
         if warm is not None:
-            basis, vstat = warm
+            basis, vstat, *inverse = warm
             self.basis = np.array(basis, dtype=int)
             self.vstat = np.array(vstat, dtype=int)
             self.xval = np.where(self.vstat == AT_UP, self.hi,
                                  np.where(self.vstat == AT_LO, self.lo, 0.0))
             self.xval[~np.isfinite(self.xval)] = 0.0
-            try:
-                self._refactor()
-            except NumericalFailure:
-                warm = None
+            if inverse:
+                # other warm starts may share it, and pivots update in place
+                Binv, self.since_refactor = inverse
+                self.Binv = Binv.copy()
+            else:
+                try:
+                    self._refactor()
+                except NumericalFailure:
+                    warm = None
         if warm is None:
             # each column starts at the bound nearer zero (lo on ties and
             # fixed columns), at its one finite bound, or free at 0
@@ -315,6 +344,8 @@ class Simplex:
         """Solve from ``basis``, the ``(basis, vstat)`` pair an earlier
         ``LpSolution.basis`` carries, or from the cold start when None.
         A warm basis that turns out singular falls back to the cold start.
+        ``basis + inverse`` of a solution of the same matrix also hands
+        over its inverse, which is copied instead of refactored.
         """
         if (self.lo > self.hi).any():
             return LpSolution(INFEASIBLE)
@@ -346,4 +377,5 @@ class Simplex:
             objective=float(self.c[:n] @ x),
             iterations=self.iterations,
             basis=(tuple(self.basis.tolist()), tuple(self.vstat.tolist())),
+            inverse=(self.Binv, self.since_refactor),
         )

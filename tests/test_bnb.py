@@ -180,3 +180,40 @@ def test_fuzz_against_reference_milp():
             assert ours.status == "Infeasible"
             assert ref.status == 2, f"trial {trial}: reference {ref.status}"
     assert solved >= 20
+
+
+def test_demo_commitment_reuses_solved_work(monkeypatch):
+    # exact counts of the demo's branch and bound: a change that
+    # re-inverts every node or cold-starts the rounding heuristic fails
+    from hullprice import bnb, pricing
+    from hullprice.samples import demo_instance
+    from hullprice.simplex import Simplex
+    refactors, pivots, calls = [], [], []
+    refactor, solve, solve_lp = Simplex._refactor, Simplex.solve, bnb.solve_lp
+
+    def counting_refactor(self):
+        refactors.append(self.m)
+        return refactor(self)
+
+    def counting_solve(self, basis=None):
+        sol = solve(self, basis)
+        pivots.append(sol.iterations)
+        return sol
+
+    def recording_solve_lp(lp, maxiter=None, basis=None):
+        calls.append((lp, basis))
+        return solve_lp(lp, maxiter, basis=basis)
+
+    monkeypatch.setattr(Simplex, "_refactor", counting_refactor)
+    monkeypatch.setattr(Simplex, "solve", counting_solve)
+    monkeypatch.setattr(bnb, "solve_lp", recording_solve_lp)
+    commit = pricing.solve_commitment(demo_instance())
+    assert commit.mip.node_count == 9
+    assert (len(refactors), sum(pivots)) == (3, 127)
+    # the second solve is the rounding heuristic's, warm from the root's
+    # basis and inverse
+    heuristic_lp, warm = calls[1]
+    assert all(heuristic_lp.var_lo[j] == heuristic_lp.var_hi[j]
+               for j in commit.model.integer_cols)
+    assert warm is not None and len(warm) == 4
+    assert commit.mip.root.inverse is None

@@ -137,6 +137,42 @@ class TestPrice:
             assert roots[gen.id] == pytest.approx(-best, abs=1e-9)
 
 
+def _ten_unit_day(path):
+    """10 quadratic-cost units at T = 24; the interval-space LP of this
+    system has 354,834 rows."""
+    unit = {"L": 3, "ell": 3, "c_min": 20.0, "c_max": 100.0, "ramp": 30.0,
+            "start_ramp": 50.0, "startup_cost": [100.0],
+            "shutdown_cost": [0.0], "initial": {"off_for": 3},
+            "cost": {"quadratic": {"alpha": 0.01, "beta": 5.0, "c": 20.0}}}
+    doc = {"T": 24, "demand": [300.0] * 24,
+           "generators": [dict(unit, id=f"g{i + 1}") for i in range(10)]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_oversized_system_fails_before_assembly(tmp_path, capsys,
+                                                monkeypatch):
+    from hullprice import pricing
+    from hullprice.lp import NumericalFailure
+    from hullprice.model import load_instance
+
+    def refuse(instance):
+        raise AssertionError("assembled an LP over the row limit")
+
+    monkeypatch.setattr(pricing, "assemble_meuc", refuse)
+    path = _ten_unit_day(tmp_path / "day.json")
+    message = "LP has 354834 rows, over the dense-inverse limit of 10000"
+    assert main(["price", "--method", "chp", "--instance", path]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    with pytest.raises(NumericalFailure, match=message):
+        pricing.price_chp(load_instance(path))
+
+
+def test_parser_is_built_once():
+    from hullprice.cli import build_parser
+    assert build_parser() is build_parser()
+
+
 class TestCompare:
     def test_single_instance_csv(self, demo_path, capsys):
         assert main(["compare", "--instance", demo_path,

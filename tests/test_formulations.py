@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from hullprice.formulations import (
     build_euc,
     enumerate_index_sets,
     map_to_schedule,
+    meuc_row_count,
 )
 from hullprice.lp import solve_lp, verify_duality, with_bounds
 from hullprice.model import (
@@ -25,7 +27,7 @@ from hullprice.model import (
     fold_prices,
     starts_from_commitment,
 )
-from hullprice.samples import random_generator, random_prices
+from hullprice.samples import random_generator, random_instance, random_prices
 from hullprice.ucdp import IntervalCostCache, run_dp
 
 from conftest import feasible_commitments, transition_cost
@@ -250,3 +252,16 @@ class TestTwoBin:
             relax = solve_lp(lp)
             exact = solve_mip(MipProblem(lp, tv.integer_cols()))
             assert relax.objective <= exact.objective + 1e-7
+
+
+def test_meuc_row_count_matches_assembly(demo):
+    assert meuc_row_count(demo) == assemble_meuc(demo).lp.n_rows == 95
+    rng = np.random.default_rng(17)
+    starts = Counter()
+    for _ in range(80):
+        inst = random_instance(rng, int(rng.integers(1, 4)),
+                               int(rng.integers(1, 7)))
+        assert meuc_row_count(inst) == assemble_meuc(inst).lp.n_rows
+        starts.update(g.initial.is_on for g in inst.generators)
+    # both initial states, each with its own flow and start rows
+    assert starts[True] >= 40 and starts[False] >= 40

@@ -401,6 +401,95 @@ def test_kernel_corpus_against_reference_solver(monkeypatch):
     assert seen["free"] >= 100
 
 
+def _shifted_boxes(rng, lp):
+    """``lp`` with about half its boxed columns moved by up to one unit."""
+    shifts = {j: (lp.var_lo[j] + s, lp.var_hi[j] + s)
+              for j in range(lp.n_vars)
+              if math.isfinite(lp.var_lo[j] + lp.var_hi[j])
+              for s in [float(rng.choice([-1.0, -0.5, 0.5, 1.0]))]
+              if rng.random() < 0.5}
+    return with_bounds(lp, shifts) if shifts else None
+
+
+def test_inherited_inverse_matches_refactored_start():
+    """A warm start handed the cold solve's inverse ends where one that
+    refactors the same basis does, and leaves the handed inverse as it
+    was."""
+    rng = np.random.default_rng(5)
+    solved = pivoted = 0
+    for _ in range(200):
+        lp = _kernel_lp(rng)
+        cold = solve_lp(lp)
+        shifted = _shifted_boxes(rng, lp)
+        if cold.status != OPTIMAL or shifted is None:
+            continue
+        handed = cold.inverse[0].copy()
+        fresh = solve_lp(shifted, basis=cold.basis)
+        inherited = solve_lp(shifted, basis=cold.basis + cold.inverse)
+        assert np.array_equal(cold.inverse[0], handed)
+        assert inherited.status == fresh.status
+        if fresh.status != OPTIMAL:
+            continue
+        assert inherited.objective == pytest.approx(fresh.objective,
+                                                    abs=1e-9)
+        assert verify_duality(shifted, fresh).ok
+        assert verify_duality(shifted, inherited).ok
+        solved += 1
+        pivoted += inherited.iterations > 0
+    # the corpus must actually pivot away from the inherited inverse
+    assert solved >= 50 and pivoted >= 20
+
+
+def _near_singular_exchange(lp, sol):
+    """``lp`` with one column appended that is a basic column of ``sol``
+    plus 1e-12 times another, and ``sol``'s basis with that new column
+    exchanged for the other one, through a pivot element of 1e-12."""
+    n, m = lp.n_vars, lp.n_rows
+    full = np.hstack([lp.matrix().toarray(), np.eye(m)])
+    cols = list(sol.basis[0])
+    new = full[:, cols[0]] + 1e-12 * full[:, cols[1]]
+    rows = [(tuple(c) + ((n, float(new[i])),) if new[i] else tuple(c),
+             sense, rhs) for i, (c, sense, rhs) in enumerate(lp.rows)]
+    wider = LinearProgram(n_vars=n + 1, objective=lp.objective + (10.0,),
+                          rows=tuple(rows), var_lo=lp.var_lo + (0.0,),
+                          var_hi=lp.var_hi + (1.0,))
+    # slack indices move up by one behind the appended column
+    cols = [j + (j >= n) for j in cols]
+    leaving, cols[1] = cols[1], n
+    vstat = list(sol.basis[1][:n]) + [BASIC] + list(sol.basis[1][n:])
+    lo = np.concatenate([wider.var_lo,
+                         np.where(wider.sense == ">=", -math.inf, 0)])
+    hi = np.concatenate([wider.var_hi,
+                         np.where(wider.sense == "<=", math.inf, 0)])
+    vstat[leaving] = AT_LO if math.isfinite(lo[leaving]) else \
+        AT_UP if math.isfinite(hi[leaving]) else FREE
+    return wider, (tuple(cols), tuple(vstat))
+
+
+def test_numerically_singular_warm_basis_falls_back():
+    """A warm basis whose inverse would carry entries near 1e12 is
+    refused, and the solve restarts cold and matches the reference."""
+    rng = np.random.default_rng(9)
+    checked = 0
+    for _ in range(60):
+        lp = _kernel_lp(rng)
+        sol = solve_lp(lp)
+        if sol.status != OPTIMAL or lp.n_rows < 2:
+            continue
+        wider, warm = _near_singular_exchange(lp, sol)
+        engine = Simplex(wider)
+        engine.basis = np.array(warm[0])
+        with pytest.raises(NumericalFailure, match="numerically singular"):
+            engine._refactor()
+        ours = solve_lp(wider, basis=warm)
+        ref = _scipy_solve(wider)
+        assert ours.status == OPTIMAL and ref.status == 0
+        assert ours.objective == pytest.approx(ref.fun, abs=1e-7)
+        assert verify_duality(wider, ours).ok
+        checked += 1
+    assert checked >= 40
+
+
 def test_refactor_matches_column_loop():
     # the reference places each basic column of [A I] one at a time
     rng = np.random.default_rng(3)
