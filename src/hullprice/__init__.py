@@ -12,9 +12,9 @@ from .model import (CostPiece, Diagnostic, DurationCostFn, GeneratorSpec,
                     parse_instance, save_instance, validate)
 from .lp import (LinearProgram, LpBuilder, LpSolution, NumericalFailure,
                  dump_lp, solve_lp, verify_duality, with_bounds)
-from .ucdp import (EnumerationTooLarge, InfeasibleDispatch, brute_force_uc,
-                   profit_max, run_dp, solve_ed)
-from .formulations import (FractionalSolution, IndexSets, MeucModel,
+from .ucdp import (EnumerationTooLarge, brute_force_uc, profit_max, run_dp,
+                   solve_ed)
+from .formulations import (FractionalSolution, IndexSets, SystemModel,
                            assemble_2bin, assemble_meuc, build_2bin,
                            build_euc, enumerate_index_sets, map_to_schedule)
 from .bnb import MipProblem, MipSolution, solve_mip
@@ -33,9 +33,9 @@ __all__ = [
     "validate",
     "LinearProgram", "LpBuilder", "LpSolution", "NumericalFailure",
     "dump_lp", "solve_lp", "verify_duality", "with_bounds",
-    "EnumerationTooLarge", "InfeasibleDispatch", "brute_force_uc",
-    "profit_max", "run_dp", "solve_ed",
-    "FractionalSolution", "IndexSets", "MeucModel", "assemble_2bin",
+    "EnumerationTooLarge", "brute_force_uc", "profit_max", "run_dp",
+    "solve_ed",
+    "FractionalSolution", "IndexSets", "SystemModel", "assemble_2bin",
     "assemble_meuc", "build_2bin", "build_euc", "enumerate_index_sets",
     "map_to_schedule",
     "MipProblem", "MipSolution", "solve_mip",

@@ -14,8 +14,8 @@ import numpy as np
 
 from . import pricing
 from .bnb import MipProblem, solve_mip
-from .formulations import FractionalSolution, assemble_meuc
-from .lp import NumericalFailure, dump_lp
+from .formulations import FractionalSolution, assemble_meuc, meuc_row_count
+from .lp import NumericalFailure, check_rows, dump_lp
 # validate is no longer called here (a load reports its own diagnostics);
 # the name stays because perfbench/tracing.py wraps cli.validate
 from .model import (ParseError, ValidationError, load_instance,  # noqa: F401
@@ -56,11 +56,17 @@ def _schedule_csv(instance, schedules):
     return "\n".join(lines) + "\n"
 
 
+def _dump_system_lp(instance, path):
+    """Write the interval-space system LP; one over the row limit raises
+    NumericalFailure before it is assembled."""
+    check_rows(meuc_row_count(instance))
+    dump_lp(assemble_meuc(instance).lp, path, name="system")
+
+
 def cmd_solve(args):
     inst = _load(args)
     if args.dump_lp:
-        meuc = assemble_meuc(inst)
-        dump_lp(meuc.lp, args.dump_lp, name="system")
+        _dump_system_lp(inst, args.dump_lp)
     commit = pricing.solve_commitment(inst, gap_tol=args.gap_tol,
                                       node_limit=args.node_limit)
     if args.format == "csv":
@@ -114,8 +120,7 @@ def _pretty_report(rep):
 def cmd_price(args):
     inst = _load(args)
     if args.dump_lp:
-        meuc = assemble_meuc(inst)
-        dump_lp(meuc.lp, args.dump_lp, name="system")
+        _dump_system_lp(inst, args.dump_lp)
     rep = pricing.price(inst, args.method, gap_tol=args.gap_tol,
                         node_limit=args.node_limit)
     if args.trace_dp:

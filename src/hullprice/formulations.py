@@ -87,6 +87,11 @@ class EucVars:
     phi: dict    # (t, k, s) -> column
     w_none: int | None = None
 
+    def outputs(self, s):
+        """Output columns of period s, one per run covering it."""
+        return [self.q[(t, k, s)] for (t, k) in self.sets.intervals
+                if t <= s <= k]
+
     def integer_cols(self):
         cols = list(self.w.values()) + list(self.y.values()) + \
             list(self.z.values())
@@ -95,34 +100,38 @@ class EucVars:
         return sorted(cols)
 
 
-def _interval_rows(bld, gen, t, k, T, qcols, phicols, ind_name, first_run):
-    """Shared per-interval rows: output bounds tied to the indicator,
-    start/shutdown ramp caps, the ramp chain, and cost epigraphs."""
+def interval_rows(bld, gen, t, k, q, phi, ind, first_run):
+    """Rows of the on-run [t, k] with indicator column ``ind``: output
+    bounds tied to the indicator, start/shutdown ramp caps, the ramp chain,
+    and cost epigraphs. ``q`` and ``phi`` map each period s of the run to
+    its output and cost columns. ``first_run`` marks the initial run of an
+    initially-on unit, whose pre-horizon output leaves period t uncapped.
+
+    The interval-space block adds these rows for every run; ``solve_ed``
+    adds them for one run with ``ind`` fixed at 1.
+    """
     g = gen.id
     tag = f"t={t}:k={k}"
     for s in range(t, k + 1):
-        bld.add_row([(qcols[s], 1.0), (ind_name, -gen.c_min)], ">=", 0.0,
+        bld.add_row([(q[s], 1.0), (ind, -gen.c_min)], ">=", 0.0,
                     f"euc:{g}:qlo:{tag}:s={s}")
-        bld.add_row([(qcols[s], 1.0), (ind_name, -gen.c_max)], "<=", 0.0,
+        bld.add_row([(q[s], 1.0), (ind, -gen.c_max)], "<=", 0.0,
                     f"euc:{g}:qup:{tag}:s={s}")
     if not first_run:
-        bld.add_row([(qcols[t], 1.0), (ind_name, -gen.start_ramp)], "<=", 0.0,
+        bld.add_row([(q[t], 1.0), (ind, -gen.start_ramp)], "<=", 0.0,
                     f"euc:{g}:startramp:{tag}")
-    if k != T:
-        bld.add_row([(qcols[k], 1.0), (ind_name, -gen.start_ramp)], "<=", 0.0,
+    if k != gen.n_periods:
+        bld.add_row([(q[k], 1.0), (ind, -gen.start_ramp)], "<=", 0.0,
                     f"euc:{g}:shutramp:{tag}")
     for s in range(t + 1, k + 1):
-        bld.add_row([(qcols[s], 1.0), (qcols[s - 1], -1.0),
-                     (ind_name, -gen.ramp)], "<=", 0.0,
-                    f"euc:{g}:rampup:{tag}:s={s}")
-        bld.add_row([(qcols[s - 1], 1.0), (qcols[s], -1.0),
-                     (ind_name, -gen.ramp)], "<=", 0.0,
-                    f"euc:{g}:rampdn:{tag}:s={s}")
+        bld.add_row([(q[s], 1.0), (q[s - 1], -1.0), (ind, -gen.ramp)],
+                    "<=", 0.0, f"euc:{g}:rampup:{tag}:s={s}")
+        bld.add_row([(q[s - 1], 1.0), (q[s], -1.0), (ind, -gen.ramp)],
+                    "<=", 0.0, f"euc:{g}:rampdn:{tag}:s={s}")
     for s in range(t, k + 1):
         for j, piece in enumerate(gen.cost[s - 1].pieces):
-            bld.add_row([(phicols[s], 1.0), (qcols[s], -piece.a),
-                         (ind_name, -piece.b)], ">=", 0.0,
-                        f"euc:{g}:piece:{tag}:s={s}:j={j}")
+            bld.add_row([(phi[s], 1.0), (q[s], -piece.a), (ind, -piece.b)],
+                        ">=", 0.0, f"euc:{g}:piece:{tag}:s={s}:j={j}")
 
 
 def _euc_block(bld, gen):
@@ -169,48 +178,39 @@ def _euc_block(bld, gen):
         select.append((ev.w_none, 1.0))
     bld.add_row(select, "=", 1.0, f"euc:{g}:select")
 
+    def flow(t, w):
+        # shutdown node t: runs ending at t (and w) feed a restart or the
+        # stay-off sink theta_t
+        coeffs = w + [(ev.theta[t], 1.0)]
+        coeffs += [(ev.z[(k, s)], 1.0) for (k, s) in sets.kt if k == t]
+        coeffs += [(ev.y[(s, k)], -1.0) for (s, k) in sets.tk2 if k == t]
+        bld.add_row(coeffs, "=", 0.0, f"euc:{g}:flow:t={t}")
+
+    def start(t, w):
+        # start node t: runs from t balance the gaps that lead to them and w
+        coeffs = [(ev.y[(t, k)], 1.0) for (s, k) in sets.tk2 if s == t]
+        coeffs += [(ev.z[(k, t)], -1.0) for (k, s) in sets.kt if s == t]
+        coeffs += w
+        if coeffs:
+            bld.add_row(coeffs, "=", 0.0, f"euc:{g}:start:t={t}")
+
     if init.is_on:
-        # shutdown-node flow: w_t (and runs ending at t) feed a restart or
-        # the stay-off sink theta_t
-        for t in range(t0, T):
-            coeffs = [(ev.w[t], -1.0), (ev.theta[t], 1.0)]
-            for (k, tt) in sets.kt:
-                if k == t:
-                    coeffs.append((ev.z[(k, tt)], 1.0))
-            for (ts, ke) in sets.tk2:
-                if ke == t:
-                    coeffs.append((ev.y[(ts, ke)], -1.0))
-            bld.add_row(coeffs, "=", 0.0, f"euc:{g}:flow:t={t}")
-        # start-node flow: restarts balance the gaps that lead to them
+        for t in theta_range:
+            flow(t, [(ev.w[t], -1.0)])
         for t in range(t0 + gen.ell + 1, T + 1):
-            coeffs = [(ev.y[(t, k)], 1.0) for (ts, k) in sets.tk2 if ts == t]
-            coeffs += [(ev.z[(k, t)], -1.0) for (k, tt) in sets.kt if tt == t]
-            if coeffs:
-                bld.add_row(coeffs, "=", 0.0, f"euc:{g}:start:t={t}")
+            start(t, [])
     else:
         for t in sorted(ev.w):
-            coeffs = [(ev.y[(t, k)], 1.0) for (ts, k) in sets.tk2 if ts == t]
-            coeffs += [(ev.z[(k, t)], -1.0) for (k, tt) in sets.kt if tt == t]
-            coeffs.append((ev.w[t], -1.0))
-            bld.add_row(coeffs, "=", 0.0, f"euc:{g}:start:t={t}")
+            start(t, [(ev.w[t], -1.0)])
         for t in theta_range:
-            coeffs = [(ev.theta[t], 1.0)]
-            for (k, tt) in sets.kt:
-                if k == t:
-                    coeffs.append((ev.z[(k, tt)], 1.0))
-            for (ts, ke) in sets.tk2:
-                if ke == t:
-                    coeffs.append((ev.y[(ts, ke)], -1.0))
-            bld.add_row(coeffs, "=", 0.0, f"euc:{g}:flow:t={t}")
+            flow(t, [])
 
-    for (t, k) in sets.tk1:
-        qc = {s: ev.q[(t, k, s)] for s in range(t, k + 1)}
-        pc = {s: ev.phi[(t, k, s)] for s in range(t, k + 1)}
-        _interval_rows(bld, gen, t, k, T, qc, pc, ev.w[k], first_run=True)
-    for (t, k) in sets.tk2:
-        qc = {s: ev.q[(t, k, s)] for s in range(t, k + 1)}
-        pc = {s: ev.phi[(t, k, s)] for s in range(t, k + 1)}
-        _interval_rows(bld, gen, t, k, T, qc, pc, ev.y[(t, k)], first_run=False)
+    runs = [(t, k, ev.w[k], True) for (t, k) in sets.tk1]
+    runs += [(t, k, ev.y[(t, k)], False) for (t, k) in sets.tk2]
+    for t, k, ind, first_run in runs:
+        span = range(t, k + 1)
+        interval_rows(bld, gen, t, k, {s: ev.q[(t, k, s)] for s in span},
+                      {s: ev.phi[(t, k, s)] for s in span}, ind, first_run)
     return ev
 
 
@@ -237,6 +237,9 @@ class TwoBinVars:
     phi: dict
     zeta: dict    # start-cost epigraph variables
     zetap: dict   # shutdown-cost epigraph variables
+
+    def outputs(self, s):
+        return [self.x[s]]
 
     def integer_cols(self):
         return sorted(list(self.u.values()) + list(self.v.values()))
@@ -402,11 +405,27 @@ def build_2bin(gen):
 
 
 @dataclass
-class MeucModel:
+class SystemModel:
+    """Per-unit blocks on one LP, tied by per-period load balance."""
+
     lp: object
-    blocks: dict          # gen id -> EucVars (columns are global)
+    blocks: dict          # gen id -> EucVars or TwoBinVars (columns global)
     load_balance_rows: tuple
     integer_cols: tuple
+
+
+def _assemble(instance, add_block, tag):
+    bld = LpBuilder()
+    blocks = {gen.id: add_block(bld, gen) for gen in instance.generators}
+    balance = []
+    for s in range(1, instance.T + 1):
+        coeffs = [(c, 1.0) for b in blocks.values() for c in b.outputs(s)]
+        balance.append(bld.add_row(coeffs, "=", float(instance.demand[s - 1]),
+                                   f"{tag}:balance:t={s}"))
+    integer_cols = sorted(c for b in blocks.values() for c in b.integer_cols())
+    return SystemModel(lp=bld.build(), blocks=blocks,
+                       load_balance_rows=tuple(balance),
+                       integer_cols=tuple(integer_cols))
 
 
 def assemble_meuc(instance):
@@ -415,26 +434,7 @@ def assemble_meuc(instance):
     Integrality is not imposed; the LP's load-balance duals are the
     system's convex hull prices.
     """
-    bld = LpBuilder()
-    blocks = {}
-    for gen in instance.generators:
-        blocks[gen.id] = _euc_block(bld, gen)
-    balance = []
-    for s in range(1, instance.T + 1):
-        coeffs = []
-        for gen in instance.generators:
-            ev = blocks[gen.id]
-            for (t, k) in ev.sets.intervals:
-                if t <= s <= k:
-                    coeffs.append((ev.q[(t, k, s)], 1.0))
-        balance.append(bld.add_row(coeffs, "=", float(instance.demand[s - 1]),
-                                   f"meuc:balance:t={s}"))
-    integer_cols = []
-    for gid in blocks:
-        integer_cols.extend(blocks[gid].integer_cols())
-    return MeucModel(lp=bld.build(), blocks=blocks,
-                     load_balance_rows=tuple(balance),
-                     integer_cols=tuple(sorted(integer_cols)))
+    return _assemble(instance, _euc_block, "meuc")
 
 
 def _euc_row_count(gen):
@@ -467,31 +467,9 @@ def meuc_row_count(instance):
                             for gen in instance.generators)
 
 
-@dataclass
-class TwoBinModel:
-    lp: object
-    blocks: dict
-    load_balance_rows: tuple
-    integer_cols: tuple
-
-
 def assemble_2bin(instance):
     """Commitment-space system MIP: blocks plus per-period load balance."""
-    bld = LpBuilder()
-    blocks = {}
-    for gen in instance.generators:
-        blocks[gen.id] = _two_bin_block(bld, gen)
-    balance = []
-    for s in range(1, instance.T + 1):
-        coeffs = [(blocks[gen.id].x[s], 1.0) for gen in instance.generators]
-        balance.append(bld.add_row(coeffs, "=", float(instance.demand[s - 1]),
-                                   f"2bin:balance:t={s}"))
-    integer_cols = []
-    for gid in blocks:
-        integer_cols.extend(blocks[gid].integer_cols())
-    return TwoBinModel(lp=bld.build(), blocks=blocks,
-                       load_balance_rows=tuple(balance),
-                       integer_cols=tuple(sorted(integer_cols)))
+    return _assemble(instance, _two_bin_block, "2bin")
 
 
 # ---------------------------------------------------------------------------

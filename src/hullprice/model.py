@@ -306,25 +306,20 @@ def evaluate_schedule_cost(gen, u, x):
     for the initial run); a run that reaches T pays none. A start pays the
     startup cost of the preceding off-duration (counting pre-horizon time).
     """
-    T = gen.n_periods
     total = 0.0
-    for t in range(T):
+    for t in range(gen.n_periods):
         if u[t]:
             total += gen.cost[t].value(x[t])
-    on_run = gen.initial.on_for if gen.initial.is_on else 0
-    off_run = gen.initial.off_for if not gen.initial.is_on else 0
-    for t in range(T):
-        if u[t]:
-            if off_run > 0:
-                total += gen.startup_cost.value(off_run)
-            off_run = 0
-            on_run += 1
-        else:
-            if on_run > 0:
-                total += gen.shutdown_cost.value(on_run)
-            on_run = 0
-            off_run += 1
+    for cost in transition_costs(gen, u):
+        total += cost
     return total
+
+
+def transition_costs(gen, u):
+    """Start-up or shut-down cost of each closed run of u, in time order:
+    an off-run ends in a start, an on-run in a shutdown."""
+    S, Sp = gen.startup_cost.value, gen.shutdown_cost.value
+    return [Sp(n) if on else S(n) for on, n in closed_runs(gen, u)]
 
 
 def closed_runs(gen, u):

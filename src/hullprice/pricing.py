@@ -155,22 +155,12 @@ def uplift(instance, prices, schedules):
     return tuple(rows)
 
 
-def _report(method, instance, prices, z_qip, relax_obj, schedules):
-    rows = uplift(instance, prices, schedules)
-    return PricingReport(method=method, prices=tuple(prices), z_qip=z_qip,
-                         relaxation_objective=relax_obj, rows=rows,
-                         total_uplift=sum(r.uplift for r in rows))
-
-
-def price(instance, method, gap_tol=1e-6, node_limit=10 ** 6):
-    """One PricingReport for method "chp", "tlmp", or "2bin-lp".
+def _method_report(instance, method, commitment):
+    """The PricingReport of ``method`` at the awarded ``commitment``.
 
     The "chp" prices are read off the root relaxation of the commitment
     branch and bound, which is the LP price_chp solves.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown pricing method {method!r}")
-    commitment = solve_commitment(instance, gap_tol, node_limit)
     if method == "chp":
         prices, relax = _balance_duals(commitment.model, commitment.mip.root,
                                        "system LP")
@@ -179,20 +169,26 @@ def price(instance, method, gap_tol=1e-6, node_limit=10 ** 6):
         relax = commitment.objective
     else:
         prices, relax = price_2bin_relaxation(instance)
-    return _report(method, instance, prices, commitment.objective, relax,
-                   commitment.schedules)
+    rows = uplift(instance, prices, commitment.schedules)
+    return PricingReport(method=method, prices=tuple(prices),
+                         z_qip=commitment.objective,
+                         relaxation_objective=relax, rows=rows,
+                         total_uplift=sum(r.uplift for r in rows))
+
+
+def price(instance, method, gap_tol=1e-6, node_limit=10 ** 6):
+    """One PricingReport for method "chp", "tlmp", or "2bin-lp"."""
+    if method not in METHODS:
+        raise ValueError(f"unknown pricing method {method!r}")
+    commitment = solve_commitment(instance, gap_tol, node_limit)
+    return _method_report(instance, method, commitment)
 
 
 def compare(instance, gap_tol=1e-6, node_limit=10 ** 6):
     """TLMP and convex hull reports on a shared awarded commitment."""
     commitment = solve_commitment(instance, gap_tol, node_limit)
-    pi_t, _ = price_tlmp(instance, commitment)
-    pi_c, relax = _balance_duals(commitment.model, commitment.mip.root,
-                                 "system LP")
-    rep_t = _report("tlmp", instance, pi_t, commitment.objective,
-                    commitment.objective, commitment.schedules)
-    rep_c = _report("chp", instance, pi_c, commitment.objective, relax,
-                    commitment.schedules)
+    rep_t = _method_report(instance, "tlmp", commitment)
+    rep_c = _method_report(instance, "chp", commitment)
     if rep_t.total_uplift > 1e-12:
         gap_tm = (rep_t.total_uplift - rep_c.total_uplift) / rep_t.total_uplift
     else:

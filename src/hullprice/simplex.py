@@ -159,15 +159,29 @@ class Simplex:
 
     # -- setup ---------------------------------------------------------------
 
+    def _cold_status(self):
+        """Each column at the bound nearer zero (lo on ties and fixed
+        columns), at its one finite bound, or free at 0."""
+        lo, hi = self.lo, self.hi
+        lo_fin, hi_fin = np.isfinite(lo), np.isfinite(hi)
+        up = hi_fin & ~(lo_fin & (np.abs(lo) <= np.abs(hi))) & (lo != hi)
+        free = ~lo_fin & ~hi_fin & (lo != hi)
+        return np.where(up, AT_UP, np.where(free, FREE, AT_LO))
+
     def _start(self, warm):
         m, n = self.m, self.n
         if warm is not None:
             basis, vstat, *inverse = warm
             self.basis = np.array(basis, dtype=int)
             self.vstat = np.array(vstat, dtype=int)
-            self.xval = np.where(self.vstat == AT_UP, self.hi,
-                                 np.where(self.vstat == AT_LO, self.lo, 0.0))
-            self.xval[~np.isfinite(self.xval)] = 0.0
+            # a status recorded under other bounds may no longer fit: FREE
+            # with a finite bound, or AT_LO / AT_UP at an infinite one
+            st, lo_fin, hi_fin = self.vstat, np.isfinite(self.lo), \
+                np.isfinite(self.hi)
+            stale = ((st == FREE) & (lo_fin | hi_fin)) | \
+                ((st == AT_LO) & ~lo_fin) | ((st == AT_UP) & ~hi_fin)
+            if stale.any():
+                self.vstat[stale] = self._cold_status()[stale]
             if inverse:
                 # other warm starts may share it, and pivots update in place
                 Binv, self.since_refactor = inverse
@@ -178,18 +192,12 @@ class Simplex:
                 except NumericalFailure:
                     warm = None
         if warm is None:
-            # each column starts at the bound nearer zero (lo on ties and
-            # fixed columns), at its one finite bound, or free at 0
-            lo, hi = self.lo, self.hi
-            lo_fin, hi_fin = np.isfinite(lo), np.isfinite(hi)
-            up = hi_fin & ~(lo_fin & (np.abs(lo) <= np.abs(hi))) & (lo != hi)
-            free = ~lo_fin & ~hi_fin & (lo != hi)
-            self.vstat = np.where(up, AT_UP, np.where(free, FREE, AT_LO))
-            self.xval = np.where(up, hi, np.where(free, 0.0, lo))
+            self.vstat = self._cold_status()
             self.basis = np.arange(n, n + m)
-            self.vstat[self.basis] = BASIC
             self.Binv = np.eye(m)
         self.vstat[self.basis] = BASIC
+        self.xval = np.where(self.vstat == AT_UP, self.hi,
+                             np.where(self.vstat == AT_LO, self.lo, 0.0))
         self.can_up = np.empty(n + m, dtype=bool)
         self.can_dn = np.empty(n + m, dtype=bool)
         self._refresh_masks(slice(None))

@@ -16,8 +16,9 @@ on-run is a chain of convex piecewise-linear stage costs linked by ramp
 windows, so forward propagation of convex value functions prices every
 on-run in closed form. With a price vector the per-period slopes are shifted
 by -pi so "cost" means cost minus revenue throughout. ``solve_ed`` and
-``IntervalCostCache`` solve the same interval as an LP; they are the oracle
-that ``brute_force_uc`` and the tests check the chain against.
+``IntervalCostCache`` solve the same interval as an LP over the rows the
+interval-space model builds for it; they are the oracle that
+``brute_force_uc`` and the tests check the chain against.
 """
 
 from __future__ import annotations
@@ -25,14 +26,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import groupby
 
+from .formulations import interval_rows
 from .lp import LpBuilder, solve_lp, OPTIMAL
 from .model import Schedule, closed_runs, evaluate_schedule_cost, \
-    starts_from_commitment, upper_envelope
-
-
-class InfeasibleDispatch(RuntimeError):
-    """The dispatch LP of an on-interval has no feasible output profile."""
+    starts_from_commitment, transition_costs, upper_envelope
 
 
 class EnumerationTooLarge(ValueError):
@@ -48,12 +47,10 @@ class EdResult:
 def solve_ed(gen, t, k, prices=None):
     """Minimum net cost of running exactly over periods [t, k], by LP.
 
-    The LP oracle for ``IntervalChain``. Builds and solves the interval
-    dispatch LP: output bounds, the ramp chain, the start-ramp cap at t
-    (skipped when t=1 for an initially-on unit, whose pre-horizon output is
-    unconstrained) and the shutdown-ramp cap at k (skipped when k=T, where
-    no shutdown happens). Start-up and shut-down lump costs are not
-    included here.
+    The LP oracle for ``IntervalChain``: the interval-space rows of the run
+    [t, k] (``formulations.interval_rows``), with its indicator column fixed
+    at 1 and each output column priced at -pi_s. Start-up and shut-down
+    lump costs are not included here.
     """
     if k < t:
         return EdResult(0.0, ())
@@ -62,28 +59,17 @@ def solve_ed(gen, t, k, prices=None):
         raise ValueError(f"interval [{t}, {k}] outside horizon [1, {T}]")
     pi = prices if prices is not None else (0.0,) * T
     bld = LpBuilder()
-    for s in range(t, k + 1):
-        bld.add_var(f"x{s}", lo=gen.c_min, hi=gen.c_max)
-        bld.add_var(f"f{s}", lo=-math.inf, hi=math.inf, obj=1.0)
-    for s in range(t, k + 1):
-        for j, piece in enumerate(gen.cost[s - 1].pieces):
-            bld.add_row([(f"f{s}", 1.0), (f"x{s}", -(piece.a - pi[s - 1]))],
-                        ">=", piece.b, f"cost:s={s}:j={j}")
-    if not (t == 1 and gen.initial.is_on):
-        bld.add_row([(f"x{t}", 1.0)], "<=", gen.start_ramp, f"startramp:s={t}")
-    if k != T:
-        bld.add_row([(f"x{k}", 1.0)], "<=", gen.start_ramp, f"shutramp:s={k}")
-    for s in range(t + 1, k + 1):
-        bld.add_row([(f"x{s}", 1.0), (f"x{s - 1}", -1.0)], "<=", gen.ramp,
-                    f"rampup:s={s}")
-        bld.add_row([(f"x{s - 1}", 1.0), (f"x{s}", -1.0)], "<=", gen.ramp,
-                    f"rampdn:s={s}")
+    on = bld.add_var("on", 1.0, 1.0)
+    span = range(t, k + 1)
+    q = {s: bld.add_var(f"q{s}", 0.0, math.inf, -pi[s - 1]) for s in span}
+    phi = {s: bld.add_var(f"phi{s}", -math.inf, math.inf, 1.0) for s in span}
+    interval_rows(bld, gen, t, k, q, phi, on,
+                  first_run=t == 1 and gen.initial.is_on)
     sol = solve_lp(bld.build())
     if sol.status != OPTIMAL:
-        raise InfeasibleDispatch(
-            f"{gen.id}: no feasible dispatch over [{t}, {k}] ({sol.status})")
-    dispatch = tuple(sol.primal[2 * i] for i in range(k - t + 1))
-    return EdResult(sol.objective, dispatch)
+        raise RuntimeError(
+            f"{gen.id}: dispatch LP over [{t}, {k}] is {sol.status}")
+    return EdResult(sol.objective, tuple(sol.primal[q[s]] for s in span))
 
 
 class IntervalCostCache:
@@ -404,6 +390,17 @@ def commitment_feasible(gen, u):
                for state, length in closed_runs(gen, u))
 
 
+def _on_runs(u):
+    """(first, last) period of each maximal on-run of u."""
+    runs, t = [], 1
+    for on, group in groupby(u):
+        n = len(list(group))
+        if on:
+            runs.append((t, t + n - 1))
+        t += n
+    return runs
+
+
 def brute_force_uc(gen, prices=None, cache=None):
     """Exhaustive minimum over all feasible commitments; dispatch via
     solve_ed per maximal on-run. Returns (objective, Schedule).
@@ -416,53 +413,20 @@ def brute_force_uc(gen, prices=None, cache=None):
         raise EnumerationTooLarge(
             f"T={T} exceeds the enumeration guard {_ENUMERATION_LIMIT}")
     ed = cache if cache is not None else IntervalCostCache(gen, prices)
-    S = gen.startup_cost.value
-    Sp = gen.shutdown_cost.value
-    init = gen.initial
-
-    best = (math.inf, None)
+    best = (math.inf, None, None)
     for mask in range(1 << T):
         u = tuple((mask >> t) & 1 for t in range(T))
         if not commitment_feasible(gen, u):
             continue
-        total = 0.0
-        runs = []
-        on_run = init.on_for if init.is_on else 0
-        off_run = init.off_for if not init.is_on else 0
-        run_start = None
-        for t in range(1, T + 1):
-            if u[t - 1]:
-                if off_run > 0:
-                    total += S(off_run)
-                if run_start is None:
-                    run_start = t
-                off_run = 0
-                on_run += 1
-            else:
-                if on_run > 0:
-                    # a run ended inside the horizon; the initially-on
-                    # pre-horizon run has no in-horizon interval when
-                    # u starts with 0
-                    total += Sp(on_run)
-                    if run_start is not None:
-                        runs.append((run_start, t - 1))
-                on_run = 0
-                off_run += 1
-                run_start = None
-        if run_start is not None:
-            runs.append((run_start, T))
-        for a, bnd in runs:
-            total += ed.cost(a, bnd)
+        runs = _on_runs(u)
+        total = sum(transition_costs(gen, u) +
+                    [ed.cost(a, b) for a, b in runs], 0.0)
         if total < best[0] - 1e-12:
-            dispatch = [0.0] * T
-            for a, bnd in runs:
-                for s, out in zip(range(a, bnd + 1), ed.dispatch(a, bnd)):
-                    dispatch[s - 1] = out
-            best = (total, (u, tuple(dispatch)))
-    obj, (u, x) = best
-    sched = Schedule(
-        u=u,
-        v=starts_from_commitment(gen, u),
-        x=x,
-        cost=evaluate_schedule_cost(gen, u, x))
+            best = (total, u, runs)
+    obj, u, runs = best
+    x = [0.0] * T
+    for a, b in runs:
+        x[a - 1:b] = ed.dispatch(a, b)
+    sched = Schedule(u=u, v=starts_from_commitment(gen, u), x=tuple(x),
+                     cost=evaluate_schedule_cost(gen, u, x))
     return obj, sched

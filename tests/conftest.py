@@ -6,9 +6,15 @@ LP assembly) so that agreement with the package's solvers is meaningful.
 """
 
 import math
+import os
 from itertools import product
 
-import numpy as np
+# one BLAS thread, as perfbench/run.py uses: the thread count can change
+# the simplex's pivot path; set before numpy loads
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from hullprice.lp import LinearProgram, LpBuilder, solve_lp

@@ -168,6 +168,23 @@ def test_oversized_system_fails_before_assembly(tmp_path, capsys,
         pricing.price_chp(load_instance(path))
 
 
+def test_oversized_dump_fails_before_assembly(tmp_path, capsys, monkeypatch):
+    from hullprice import cli, pricing
+
+    def refuse(instance):
+        raise AssertionError("assembled an LP over the row limit")
+
+    monkeypatch.setattr(pricing, "assemble_meuc", refuse)
+    monkeypatch.setattr(cli, "assemble_meuc", refuse)
+    path = _ten_unit_day(tmp_path / "day.json")
+    dump = tmp_path / "system.lp"
+    message = "LP has 354834 rows, over the dense-inverse limit of 10000"
+    for argv in (["solve"], ["price", "--method", "chp"]):
+        assert main(argv + ["--instance", path, "--dump-lp", str(dump)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not dump.exists()
+
+
 def test_parser_is_built_once():
     from hullprice.cli import build_parser
     assert build_parser() is build_parser()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 from fractions import Fraction
@@ -27,7 +28,8 @@ from hullprice.model import (
     fold_prices,
     starts_from_commitment,
 )
-from hullprice.samples import random_generator, random_instance, random_prices
+from hullprice.samples import (demo_instance, random_generator,
+                               random_instance, random_prices)
 from hullprice.ucdp import IntervalCostCache, run_dp
 
 from conftest import feasible_commitments, transition_cost
@@ -265,3 +267,28 @@ def test_meuc_row_count_matches_assembly(demo):
         starts.update(g.initial.is_on for g in inst.generators)
     # both initial states, each with its own flow and start rows
     assert starts[True] >= 40 and starts[False] >= 40
+
+
+def _lp_digest(assemble):
+    """sha256 over the demo and 20 fixed-seed systems of everything an
+    assembled system model hands its solvers."""
+    systems = [demo_instance()] + [
+        random_instance(np.random.default_rng(seed), 1 + seed % 3,
+                        1 + seed % 6) for seed in range(20)]
+    h = hashlib.sha256()
+    for inst in systems:
+        model = assemble(inst)
+        lp = model.lp
+        h.update(repr((lp.rows, lp.objective, lp.var_lo, lp.var_hi,
+                       lp.row_labels, lp.var_labels, model.load_balance_rows,
+                       model.integer_cols)).encode())
+    return h.hexdigest()
+
+
+def test_assembled_lps_are_pinned():
+    # both encodings must keep every row, bound, cost, label and column
+    # order of the digests pinned here
+    assert _lp_digest(assemble_meuc) == \
+        "7b5c3ea8d3bb3eb4c40f4f8981d39cb63ab7544f1465528922017690d059a890"
+    assert _lp_digest(assemble_2bin) == \
+        "5314e2f4dd08228c1e259725b0158e8dc67327eec9a9d8a0c7671df746517336"

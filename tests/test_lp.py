@@ -440,6 +440,33 @@ def test_inherited_inverse_matches_refactored_start():
     assert solved >= 50 and pivoted >= 20
 
 
+def test_warm_start_reads_free_status_against_new_bounds():
+    """A column recorded FREE that now has finite bounds starts at one of
+    them, so it cannot step past the other one."""
+    rng = np.random.default_rng(7)
+    checked = stale = 0
+    for _ in range(200):
+        lp = _kernel_lp(rng)
+        cold = solve_lp(lp)
+        boxes = {j: (-0.5, 0.5) for j in range(lp.n_vars)
+                 if math.isinf(lp.var_lo[j]) and math.isinf(lp.var_hi[j])}
+        if cold.status != OPTIMAL or not boxes:
+            continue
+        boxed = with_bounds(lp, boxes)
+        ours = solve_lp(boxed, basis=cold.basis)
+        ref = _scipy_solve(boxed)
+        if ours.status != OPTIMAL:
+            assert ours.status == INFEASIBLE and ref.status == 2
+            continue
+        assert ref.status == 0
+        assert ours.objective == pytest.approx(ref.fun, abs=1e-7)
+        assert verify_duality(boxed, ours).ok
+        checked += 1
+        stale += any(cold.basis[1][j] == FREE for j in boxes)
+    # the corpus must actually hand over FREE statuses that are now boxed
+    assert checked >= 50 and stale >= 20
+
+
 def _near_singular_exchange(lp, sol):
     """``lp`` with one column appended that is a basic column of ``sol``
     plus 1e-12 times another, and ``sol``'s basis with that new column

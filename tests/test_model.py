@@ -26,10 +26,13 @@ from hullprice.model import (
     save_instance,
     starts_from_commitment,
     tangent_pieces,
+    transition_costs,
     upper_envelope,
     validate,
 )
-from hullprice.samples import demo_instance
+from hullprice.samples import demo_instance, random_generator
+
+from conftest import feasible_commitments, transition_cost
 
 
 def _g2(demo):
@@ -243,6 +246,19 @@ class TestScheduleCosts:
             initial=InitialState(on_for=1))
         assert evaluate_schedule_cost(gen, (1, 1), (1.0, 1.0)) == 0.0
         assert evaluate_schedule_cost(gen, (0, 0), (0.0, 0.0)) == 100.0
+
+
+    def test_closed_run_costs_match_transition_oracle(self):
+        rng = np.random.default_rng(41)
+        checked = 0
+        for trial in range(40):
+            T = 1 + trial % 6
+            gen = random_generator(rng, T, f"u{trial}")
+            for u in feasible_commitments(gen, T):
+                assert sum(transition_costs(gen, u), 0.0) == \
+                    transition_cost(gen, u), (trial, u)
+                checked += 1
+        assert checked >= 300
 
 
 class TestCheckSchedule:

@@ -24,7 +24,6 @@ from hullprice.model import (
 from hullprice.samples import random_generator, random_prices
 from hullprice.ucdp import (
     EnumerationTooLarge,
-    InfeasibleDispatch,
     IntervalChain,
     brute_force_uc,
     commitment_feasible,
