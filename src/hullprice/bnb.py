@@ -44,8 +44,8 @@ class MipSolution:
     root: object = None   # LpSolution of the root relaxation, once solved
 
 
-def _most_fractional(x, cols, tol):
-    worst, arg = tol, None
+def _most_fractional(x, cols):
+    worst, arg = INT_TOL, None
     for j in cols:
         f = abs(x[j] - round(x[j]))
         if f > worst:
@@ -75,7 +75,7 @@ def _round_and_fix(problem, root):
     return sol if sol.status == OPTIMAL else None
 
 
-def solve_mip(problem, gap_tol=1e-6, node_limit=10 ** 6, int_tol=INT_TOL):
+def solve_mip(problem, gap_tol=1e-6, node_limit=10 ** 6):
     """Minimize problem.lp with the integer columns restricted to integers.
 
     Returns a MipSolution; status is "Optimal", "Infeasible", "Unbounded",
@@ -142,7 +142,7 @@ def solve_mip(problem, gap_tol=1e-6, node_limit=10 ** 6, int_tol=INT_TOL):
                 record(cand)
             if sol.objective >= inc_obj - PRUNE_MARGIN:
                 continue
-        j = _most_fractional(sol.primal, problem.integer_cols, int_tol)
+        j = _most_fractional(sol.primal, problem.integer_cols)
         if j is None:
             record(sol)
             continue

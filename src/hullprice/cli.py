@@ -13,9 +13,8 @@ import sys
 import numpy as np
 
 from . import pricing
-from .bnb import MipProblem, solve_mip
-from .formulations import FractionalSolution, assemble_meuc, meuc_row_count
-from .lp import NumericalFailure, check_rows, dump_lp
+from .formulations import FractionalSolution
+from .lp import NumericalFailure, dump_lp
 # validate is no longer called here (a load reports its own diagnostics);
 # the name stays because perfbench/tracing.py wraps cli.validate
 from .model import (ParseError, ValidationError, load_instance,  # noqa: F401
@@ -59,8 +58,7 @@ def _schedule_csv(instance, schedules):
 def _dump_system_lp(instance, path):
     """Write the interval-space system LP; one over the row limit raises
     NumericalFailure before it is assembled."""
-    check_rows(meuc_row_count(instance))
-    dump_lp(assemble_meuc(instance).lp, path, name="system")
+    dump_lp(pricing.system_model(instance).lp, path, name="system")
 
 
 def cmd_solve(args):
@@ -104,17 +102,27 @@ def _trace_dp(instance, prices, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def _pretty_report(rep):
-    lines = [f"[{rep.method}] prices: "
-             f"({', '.join(fmt(p) for p in rep.prices)})"]
-    for r in rep.rows:
-        lines.append(f"  {r.generator}: best profit {fmt(r.best_profit)}, "
-                     f"schedule profit {fmt(r.iso_profit)}, "
-                     f"uplift {fmt(r.uplift)}")
-    lines.append(f"  total uplift {fmt(rep.total_uplift)} "
-                 f"(commitment cost {fmt(rep.z_qip)}, "
-                 f"relaxation {fmt(rep.relaxation_objective)})")
-    return lines
+def _render_reports(reports, style, gap_tm=None):
+    """Pricing reports as csv tables or pretty text; ``gap_tm`` is the
+    relative uplift gap that ``compare`` adds."""
+    if style == "csv":
+        return pricing.prices_csv(reports) + "\n" + \
+            pricing.uplift_csv(reports) + "\n" + \
+            pricing.summary_csv(reports, gap_tm=gap_tm)
+    lines = []
+    for rep in reports:
+        lines.append(f"[{rep.method}] prices: "
+                     f"({', '.join(fmt(p) for p in rep.prices)})")
+        for r in rep.rows:
+            lines.append(f"  {r.generator}: best profit {fmt(r.best_profit)}, "
+                         f"schedule profit {fmt(r.iso_profit)}, "
+                         f"uplift {fmt(r.uplift)}")
+        lines.append(f"  total uplift {fmt(rep.total_uplift)} "
+                     f"(commitment cost {fmt(rep.z_qip)}, "
+                     f"relaxation {fmt(rep.relaxation_objective)})")
+    if gap_tm is not None:
+        lines.append(f"uplift gap (tlmp vs chp): {fmt(gap_tm)}")
+    return "\n".join(lines) + "\n"
 
 
 def cmd_price(args):
@@ -125,27 +133,8 @@ def cmd_price(args):
                         node_limit=args.node_limit)
     if args.trace_dp:
         _trace_dp(inst, rep.prices, args.trace_dp)
-    if args.format == "csv":
-        text = pricing.prices_csv([rep]) + "\n" + \
-            pricing.uplift_csv([rep]) + "\n" + pricing.summary_csv([rep])
-    else:
-        text = "\n".join(_pretty_report(rep)) + "\n"
-    _emit(text, args.out)
+    _emit(_render_reports([rep], args.format), args.out)
     return 0
-
-
-def _compare_one(inst, args):
-    cmp = pricing.compare(inst, gap_tol=args.gap_tol,
-                          node_limit=args.node_limit)
-    reps = [cmp.tlmp, cmp.chp]
-    if args.format == "csv":
-        return pricing.prices_csv(reps) + "\n" + pricing.uplift_csv(reps) + \
-            "\n" + pricing.summary_csv(reps, gap_tm=cmp.gap_tm)
-    lines = []
-    for rep in reps:
-        lines.extend(_pretty_report(rep))
-    lines.append(f"uplift gap (tlmp vs chp): {fmt(cmp.gap_tm)}")
-    return "\n".join(lines) + "\n"
 
 
 def cmd_compare(args):
@@ -178,7 +167,10 @@ def cmd_compare(args):
               file=sys.stderr)
         return 2
     inst = _load(args)
-    _emit(_compare_one(inst, args), args.out)
+    cmp = pricing.compare(inst, gap_tol=args.gap_tol,
+                          node_limit=args.node_limit)
+    _emit(_render_reports([cmp.tlmp, cmp.chp], args.format, cmp.gap_tm),
+          args.out)
     return 0
 
 

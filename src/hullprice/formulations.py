@@ -14,8 +14,8 @@ Two encodings of the same feasible set are built:
   period. The LP relaxation of one block has integral extreme points, so
   a system of blocks tied only by load balance prices out of its LP.
 
-``map_to_schedule`` converts an integral interval-space point back to
-(u, v, x) by summing interval indicators covering each period.
+``map_to_schedule`` converts an integral interval-space point back to a
+schedule on over its selected runs.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .bnb import INT_TOL
 from .lp import LpBuilder
-from .model import Schedule, evaluate_schedule_cost
+from .model import schedule_of_runs
 
 
 class FractionalSolution(RuntimeError):
@@ -476,13 +477,13 @@ def assemble_2bin(instance):
 # mapping interval-space points back to schedules
 
 
-def map_to_schedule(gen, ev, primal, tol=1e-6):
+def map_to_schedule(gen, ev, primal):
     """Convert an integral interval-space point to a Schedule.
 
     Raises FractionalSolution (naming the worst offender) if any selection
-    variable is farther than tol from 0/1.
+    variable is farther than ``INT_TOL``, the branch and bound's
+    integrality tolerance, from 0/1.
     """
-    T = gen.n_periods
     worst_val, worst_name = 0.0, None
     named = [(f"w:t={t}", col) for t, col in sorted(ev.w.items())]
     if ev.w_none is not None:
@@ -494,30 +495,14 @@ def map_to_schedule(gen, ev, primal, tol=1e-6):
         frac = abs(primal[col] - round(primal[col]))
         if frac > worst_val:
             worst_val, worst_name = frac, name
-    if worst_val > tol:
+    if worst_val > INT_TOL:
         raise FractionalSolution(
             f"{gen.id}: {worst_name} is {worst_val:.3g} from integrality")
 
-    u = [0] * T
-    v = [0] * T
-    x = [0.0] * T
-    for (t, k) in ev.sets.tk1:
-        if round(primal[ev.w[k]]) == 1:
-            for s in range(t, k + 1):
-                u[s - 1] = 1
-    for (t, k) in ev.sets.tk2:
-        if round(primal[ev.y[(t, k)]]) == 1:
-            for s in range(t, k + 1):
-                u[s - 1] = 1
-    for (k, t) in ev.sets.kt:
-        if round(primal[ev.z[(k, t)]]) == 1:
-            v[t - 1] = 1
-    if not gen.initial.is_on:
-        for t, col in ev.w.items():
-            if round(primal[col]) == 1:
-                v[t - 1] = 1
+    runs = [(t, k) for (t, k) in ev.sets.tk1 if round(primal[ev.w[k]]) == 1]
+    runs += [run for run in ev.sets.tk2 if round(primal[ev.y[run]]) == 1]
+    # every run's output of period s, in its load-balance row's order
+    x = [0.0] * gen.n_periods
     for (t, k, s), col in ev.q.items():
-        if u[s - 1]:
-            x[s - 1] += primal[col]
-    cost = evaluate_schedule_cost(gen, u, x)
-    return Schedule(u=tuple(u), v=tuple(v), x=tuple(x), cost=cost)
+        x[s - 1] += primal[col]
+    return schedule_of_runs(gen, runs, lambda t, k: x[t - 1:k])

@@ -200,17 +200,18 @@ class DualityReport:
     notes: tuple[str, ...] = ()
 
 
-def verify_duality(lp, sol, tol=DUALITY_TOL):
+def verify_duality(lp, sol):
     """Check an Optimal solution against its certificate.
 
     Verifies primal feasibility, dual feasibility (reduced-cost and row-dual
     signs), complementary slackness, and the strong-duality identity
     ``c.x = b.y + sum_j rc_j x_j`` (the sum carries the variable-bound
-    contributions). Residuals are compared against ``tol`` scaled by the
-    magnitude of the data they involve.
+    contributions). Residuals are compared against ``DUALITY_TOL`` scaled
+    by the magnitude of the data they involve.
     """
     if sol.status != OPTIMAL:
         raise ValueError("verify_duality expects an Optimal solution")
+    tol = DUALITY_TOL
     x = np.asarray(sol.primal)
     y = np.asarray(sol.duals)
     rc = np.asarray(sol.reduced_costs)

@@ -203,6 +203,8 @@ class Schedule:
 # ---------------------------------------------------------------------------
 # derived data and small helpers
 
+SCHEDULE_TOL = 1e-6   # check_schedule's slack on output limits and ramps
+
 
 def tangent_pieces(alpha, beta, c, lo, hi, n):
     """Under-approximate ``alpha*x^2 + beta*x + c`` on [lo, hi] by n tangents.
@@ -298,6 +300,21 @@ def starts_from_commitment(gen, u):
     return tuple(v)
 
 
+def schedule_of_runs(gen, runs, dispatch):
+    """The Schedule on over each run (t, k) of ``runs``, at output
+    ``dispatch(t, k)`` there, and off elsewhere. Starts follow from the
+    commitment, the cost from ``evaluate_schedule_cost``."""
+    T = gen.n_periods
+    u = [0] * T
+    x = [0.0] * T
+    for t, k in runs:
+        u[t - 1:k] = [1] * (k - t + 1)
+        x[t - 1:k] = dispatch(t, k)
+    u = tuple(u)
+    return Schedule(u=u, v=starts_from_commitment(gen, u), x=tuple(x),
+                    cost=evaluate_schedule_cost(gen, u, x))
+
+
 def evaluate_schedule_cost(gen, u, x):
     """Generation + start-up + shut-down cost of a commitment/dispatch pair.
 
@@ -335,9 +352,10 @@ def closed_runs(gen, u):
             state, length = cur, 1
 
 
-def check_schedule(gen, sched, tol=1e-6):
+def check_schedule(gen, sched):
     """List of constraint violations of a Schedule; empty when feasible."""
     T = gen.n_periods
+    tol = SCHEDULE_TOL
     problems = []
     u, v, x = sched.u, sched.v, sched.x
     if not (len(u) == len(v) == len(x) == T):

@@ -66,13 +66,16 @@ class CommitmentResult:
     mip: object
 
 
-def solve_commitment(instance, gap_tol=1e-6, node_limit=10 ** 6):
-    """System MIP on the interval-space encoding; schedules per unit.
-
-    Raises NumericalFailure before assembling an LP over the row limit.
-    """
+def system_model(instance):
+    """The interval-space system model. Raises NumericalFailure, before
+    assembling anything, if its LP would be over the row limit."""
     check_rows(meuc_row_count(instance))
-    meuc = assemble_meuc(instance)
+    return assemble_meuc(instance)
+
+
+def solve_commitment(instance, gap_tol=1e-6, node_limit=10 ** 6):
+    """System MIP on the interval-space encoding; schedules per unit."""
+    meuc = system_model(instance)
     res = solve_mip(MipProblem(meuc.lp, meuc.integer_cols),
                     gap_tol=gap_tol, node_limit=node_limit)
     if res.status == "Infeasible":
@@ -105,12 +108,8 @@ def _balance_duals(model, sol, what):
 
 
 def price_chp(instance):
-    """Convex hull prices and the relaxation objective they certify.
-
-    Raises NumericalFailure before assembling an LP over the row limit.
-    """
-    check_rows(meuc_row_count(instance))
-    meuc = assemble_meuc(instance)
+    """Convex hull prices and the relaxation objective they certify."""
+    meuc = system_model(instance)
     return _balance_duals(meuc, solve_lp(meuc.lp), "system LP")
 
 
@@ -126,10 +125,10 @@ def _fix_commitment(model, instance, schedules):
     return replace(model, lp=with_bounds(model.lp, fixes))
 
 
-def price_tlmp(instance, commitment=None, gap_tol=1e-6, node_limit=10 ** 6):
+def price_tlmp(instance, commitment=None):
     """Fixed-commitment dispatch duals at the system MIP optimum."""
     if commitment is None:
-        commitment = solve_commitment(instance, gap_tol, node_limit)
+        commitment = solve_commitment(instance)
     fixed = _fix_commitment(assemble_2bin(instance), instance,
                             commitment.schedules)
     prices, _ = _balance_duals(fixed, solve_lp(fixed.lp),

@@ -8,8 +8,6 @@ commitment-space epigraph rows require for exactness.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .model import (CostPiece, DurationCostFn, GeneratorSpec, InitialState,
                     PeriodCost, SystemInstance, tangent_pieces)
 

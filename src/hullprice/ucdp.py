@@ -30,8 +30,8 @@ from itertools import groupby
 
 from .formulations import interval_rows
 from .lp import LpBuilder, solve_lp, OPTIMAL
-from .model import Schedule, closed_runs, evaluate_schedule_cost, \
-    starts_from_commitment, transition_costs, upper_envelope
+from .model import closed_runs, schedule_of_runs, transition_costs, \
+    upper_envelope
 
 
 class EnumerationTooLarge(ValueError):
@@ -312,61 +312,31 @@ def run_dp(gen, prices=None):
 def extract_schedule(gen, tables):
     """Follow the DP argmins into a concrete schedule.
 
+    The root's choices read as the nodes' do: "stay_on" runs from 1 to T
+    as "to_end" does, ("shutdown", t) ends the first run [1, t] as
+    ("until", k) does (no run for t = 0), ("start", t) opens a run as
+    ("restart", k) does, and "never" stops as "end" does.
+
     The schedule's ``cost`` is evaluated at the generator's own cost data
     (no price folding); its net cost ``cost - pi . x`` reproduces the DP
     objective.
     """
     T = gen.n_periods
-    u = [0] * T
-    v = [0] * T
-    x = [0.0] * T
     arg = tables.argmin
-    ed = tables.ed
-
-    def fill(t, k):
-        for s, out in zip(range(t, k + 1), ed.dispatch(t, k)):
-            u[s - 1] = 1
-            x[s - 1] = out
-
-    root = arg["root"]
-    if gen.initial.is_on:
-        if root == ("stay_on",):
-            fill(1, T)
-            node = None
-        else:
-            _, t = root
-            if t >= 1:
-                fill(1, t)
-            node = ("down", t)
-    else:
-        if root == ("never",):
-            node = None
-        else:
-            _, t = root
-            v[t - 1] = 1
-            node = ("up", t)
-
-    while node is not None:
-        kind, t = node
-        choice = arg[node]
-        if kind == "down":
-            if choice == ("end",):
-                node = None
-            else:
-                _, k = choice
-                v[k - 1] = 1
-                node = ("up", k)
-        else:  # "up": unit runs from t
-            if choice == ("to_end",):
-                fill(t, T)
-                node = None
-            else:
-                _, k = choice
-                fill(t, k)
-                node = ("down", k)
-
-    cost = evaluate_schedule_cost(gen, u, x)
-    return Schedule(u=tuple(u), v=tuple(v), x=tuple(x), cost=cost)
+    runs = []
+    t, choice = 1, arg["root"]
+    while choice[0] not in ("never", "end"):
+        if choice[0] in ("stay_on", "to_end"):
+            runs.append((t, T))
+            break
+        k = choice[1]
+        if choice[0] in ("start", "restart"):
+            t, choice = k, arg[("up", k)]
+        else:  # "shutdown" / "until": the run from t ends at k
+            if k >= t:
+                runs.append((t, k))
+            choice = arg[("down", k)]
+    return schedule_of_runs(gen, runs, tables.ed.dispatch)
 
 
 def profit_max(gen, prices):
@@ -401,7 +371,7 @@ def _on_runs(u):
     return runs
 
 
-def brute_force_uc(gen, prices=None, cache=None):
+def brute_force_uc(gen, prices=None):
     """Exhaustive minimum over all feasible commitments; dispatch via
     solve_ed per maximal on-run. Returns (objective, Schedule).
 
@@ -412,8 +382,8 @@ def brute_force_uc(gen, prices=None, cache=None):
     if T > _ENUMERATION_LIMIT:
         raise EnumerationTooLarge(
             f"T={T} exceeds the enumeration guard {_ENUMERATION_LIMIT}")
-    ed = cache if cache is not None else IntervalCostCache(gen, prices)
-    best = (math.inf, None, None)
+    ed = IntervalCostCache(gen, prices)
+    best, best_runs = math.inf, None
     for mask in range(1 << T):
         u = tuple((mask >> t) & 1 for t in range(T))
         if not commitment_feasible(gen, u):
@@ -421,12 +391,6 @@ def brute_force_uc(gen, prices=None, cache=None):
         runs = _on_runs(u)
         total = sum(transition_costs(gen, u) +
                     [ed.cost(a, b) for a, b in runs], 0.0)
-        if total < best[0] - 1e-12:
-            best = (total, u, runs)
-    obj, u, runs = best
-    x = [0.0] * T
-    for a, b in runs:
-        x[a - 1:b] = ed.dispatch(a, b)
-    sched = Schedule(u=u, v=starts_from_commitment(gen, u), x=tuple(x),
-                     cost=evaluate_schedule_cost(gen, u, x))
-    return obj, sched
+        if total < best - 1e-12:
+            best, best_runs = total, runs
+    return best, schedule_of_runs(gen, best_runs, ed.dispatch)

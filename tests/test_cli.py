@@ -175,7 +175,7 @@ def test_oversized_dump_fails_before_assembly(tmp_path, capsys, monkeypatch):
         raise AssertionError("assembled an LP over the row limit")
 
     monkeypatch.setattr(pricing, "assemble_meuc", refuse)
-    monkeypatch.setattr(cli, "assemble_meuc", refuse)
+    assert not hasattr(cli, "assemble_meuc")
     path = _ten_unit_day(tmp_path / "day.json")
     dump = tmp_path / "system.lp"
     message = "LP has 354834 rows, over the dense-inverse limit of 10000"
