@@ -174,6 +174,16 @@ def cmd_compare(args):
     return 0
 
 
+def _at_least(least):
+    """argparse type: an integer no smaller than ``least``."""
+    def integer(text):
+        n = int(text)
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {n}")
+        return n
+    return integer
+
+
 @functools.cache
 def build_parser():
     """The argument parser; built on the first call, then shared."""
@@ -191,7 +201,7 @@ def build_parser():
 
     def solver_opts(p):
         p.add_argument("--gap-tol", type=float, default=1e-6)
-        p.add_argument("--node-limit", type=int, default=10 ** 6)
+        p.add_argument("--node-limit", type=_at_least(1), default=10 ** 6)
         p.add_argument("--format", choices=("csv", "pretty"),
                        default="pretty")
         p.add_argument("--out", help="write output to this file")
@@ -218,7 +228,7 @@ def build_parser():
     p = sub.add_parser("compare", help="TLMP vs convex hull prices")
     common(p, need_instance=False)
     solver_opts(p)
-    p.add_argument("--fuzz", type=int, default=0,
+    p.add_argument("--fuzz", type=_at_least(0), default=0,
                    help="run this many random systems instead of a file")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_compare)

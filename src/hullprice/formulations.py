@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .bnb import INT_TOL
 from .lp import LpBuilder
-from .model import schedule_of_runs
+from .model import gap_cost, run_cost, schedule_of_runs
 
 
 class FractionalSolution(RuntimeError):
@@ -52,24 +52,14 @@ class IndexSets:
 
 
 def enumerate_index_sets(gen):
-    T = gen.n_periods
-    L, ell = gen.L, gen.ell
-    init = gen.initial
-    if init.is_on:
-        t0 = init.t0(L)
-        tk1 = tuple((1, k) for k in range(max(t0, 1), T + 1))
-        start_lo = t0 + ell + 1
-        shut_lo = t0
-    else:
-        tf = max(init.t0_minus(ell), 1)
-        tk1 = ()
-        start_lo = tf
-        shut_lo = tf + L - 1
+    T, L, ell = gen.n_periods, gen.L, gen.ell
+    tk1 = tuple((1, k) for k in range(max(gen.first_shut, 1), T + 1)) \
+        if gen.initial.is_on else ()
     tk2 = tuple((t, k)
-                for t in range(start_lo, T + 1)
+                for t in range(gen.first_start, T + 1)
                 for k in range(min(t + L - 1, T), T + 1))
     kt = tuple((k, t)
-               for k in range(shut_lo, T - ell)
+               for k in range(gen.first_shut, T - ell)
                for t in range(k + ell + 1, T + 1))
     return IndexSets(tk1=tk1, tk2=tk2, kt=kt)
 
@@ -140,30 +130,26 @@ def _euc_block(bld, gen):
     g = gen.id
     T = gen.n_periods
     sets = enumerate_index_sets(gen)
-    init = gen.initial
-    S = gen.startup_cost.value
-    Sp = gen.shutdown_cost.value
+    is_on = gen.initial.is_on
     ev = EucVars(gen_id=g, sets=sets, w={}, y={}, z={}, theta={}, q={}, phi={})
 
-    if init.is_on:
-        t0 = init.t0(gen.L)
-        for t in range(t0, T + 1):
-            cost = Sp(t + init.on_for) if t <= T - 1 else 0.0
-            ev.w[t] = bld.add_var(f"euc:{g}:w:t={t}", 0.0, 1.0, cost)
-        theta_range = range(t0, T)
-    else:
-        tf = max(init.t0_minus(gen.ell), 1)
-        for t in range(tf, T + 1):
+    # w_t: the first run ends at t (initially on) or the first start is t
+    if is_on:
+        for t in range(gen.first_shut, T + 1):
             ev.w[t] = bld.add_var(f"euc:{g}:w:t={t}", 0.0, 1.0,
-                                  S(init.off_for + t - 1))
+                                  run_cost(gen, 1, t))
+    else:
+        for t in range(gen.first_start, T + 1):
+            ev.w[t] = bld.add_var(f"euc:{g}:w:t={t}", 0.0, 1.0,
+                                  gap_cost(gen, 0, t))
         ev.w_none = bld.add_var(f"euc:{g}:w:never", 0.0, 1.0, 0.0)
-        theta_range = range(tf + gen.L - 1, T - gen.ell)
+    theta_range = range(gen.first_shut, T if is_on else T - gen.ell)
     for (t, k) in sets.tk2:
-        cost = Sp(k - t + 1) if k <= T - 1 else 0.0
-        ev.y[(t, k)] = bld.add_var(f"euc:{g}:y:t={t}:k={k}", 0.0, 1.0, cost)
+        ev.y[(t, k)] = bld.add_var(f"euc:{g}:y:t={t}:k={k}", 0.0, 1.0,
+                                   run_cost(gen, t, k))
     for (k, t) in sets.kt:
         ev.z[(k, t)] = bld.add_var(f"euc:{g}:z:k={k}:t={t}", 0.0, 1.0,
-                                   S(t - k - 1))
+                                   gap_cost(gen, k, t))
     for t in theta_range:
         ev.theta[t] = bld.add_var(f"euc:{g}:theta:t={t}", 0.0, 1.0, 0.0)
     for (t, k) in sets.intervals:
@@ -195,10 +181,10 @@ def _euc_block(bld, gen):
         if coeffs:
             bld.add_row(coeffs, "=", 0.0, f"euc:{g}:start:t={t}")
 
-    if init.is_on:
+    if is_on:
         for t in theta_range:
             flow(t, [(ev.w[t], -1.0)])
-        for t in range(t0 + gen.ell + 1, T + 1):
+        for t in range(gen.first_start, T + 1):
             start(t, [])
     else:
         for t in sorted(ev.w):
@@ -251,17 +237,9 @@ def _two_bin_block(bld, gen):
     T = gen.n_periods
     init = gen.initial
     L, ell = gen.L, gen.ell
-    S = gen.startup_cost.value
-    Sp = gen.shutdown_cost.value
     u0 = 1 if init.is_on else 0
-    if init.is_on:
-        t0 = init.t0(L)
-        first_start = t0 + ell + 1   # earliest in-horizon start
-        shut_nodes = range(t0, T)    # zeta' indexed by last-on period
-    else:
-        tf = max(init.t0_minus(ell), 1)
-        first_start = tf
-        shut_nodes = range(tf + L - 1, T)
+    first_start = gen.first_start
+    shut_nodes = range(gen.first_shut, T)   # zeta' indexed by last-on period
 
     # Duration costs split into a base charge on the transition variables
     # plus epigraph excess rows. The base is the cheapest achievable
@@ -296,7 +274,7 @@ def _two_bin_block(bld, gen):
         tv.zetap[t] = bld.add_var(f"2bin:{g}:zetap:t={t}", 0.0, math.inf, 1.0)
 
     if init.is_on:
-        for t in range(1, t0 + 1):
+        for t in range(1, gen.first_shut + 1):
             bld.set_bounds(f"2bin:{g}:u:t={t}", 1.0, 1.0)
     else:
         for t in range(1, first_start):
@@ -356,13 +334,13 @@ def _two_bin_block(bld, gen):
     # was all off; the binding row carries the off-gap's duration cost
     for t in sorted(tv.zeta):
         if not init.is_on:
-            K = S(init.off_for + t - 1) - s_base
+            K = gap_cost(gen, 0, t) - s_base
             if K > 0.0:
                 coeffs = [(tv.zeta[t], 1.0), (tv.v[t], -K)]
                 coeffs += [(tv.u[s], K) for s in range(1, t)]
                 bld.add_row(coeffs, ">=", 0.0, f"2bin:{g}:startcost:t={t}:first")
-        for k in range(shut_nodes.start if not init.is_on else t0, t - ell):
-            K = S(t - k - 1) - s_base
+        for k in range(gen.first_shut, t - ell):
+            K = gap_cost(gen, k, t) - s_base
             if K <= 0.0:
                 continue
             coeffs = [(tv.zeta[t], 1.0), (tv.v[t], -K)]
@@ -371,10 +349,10 @@ def _two_bin_block(bld, gen):
 
     # shutdown cost epigraphs
     if init.is_on:
-        for t in range(t0, T):
+        for t in shut_nodes:
             # first run [1, t] ends at t+1; active unless still on at t+1
             # or already interrupted before t
-            K = Sp(t + init.on_for) if t == 0 else Sp(t + init.on_for) - sp_base
+            K = run_cost(gen, 1, t) - (sp_base if t else 0.0)
             if K <= 0.0:
                 continue
             coeffs = [(tv.zetap[t], 1.0), (tv.u[t + 1], K)]
@@ -383,7 +361,7 @@ def _two_bin_block(bld, gen):
                         f"2bin:{g}:shutcost:t={t}:first")
     for k in range(first_start, T + 1):
         for t in range(k + L - 1, T):
-            K = Sp(t - k + 1) - sp_base
+            K = run_cost(gen, k, t) - sp_base
             if K <= 0.0:
                 continue
             # run started at k ends at t+1: v_k on, [k, t] all on, off at t+1
@@ -440,17 +418,12 @@ def assemble_meuc(instance):
 
 def _euc_row_count(gen):
     """Rows ``_euc_block`` adds for ``gen``, counted the way it adds them."""
-    T, L, ell = gen.n_periods, gen.L, gen.ell
+    T = gen.n_periods
     sets = enumerate_index_sets(gen)
-    init = gen.initial
-    if init.is_on:
-        t0 = init.t0(L)
-        # select, a flow row per shutdown node, a start row per restart
-        rows = 1 + max(T - t0, 0) + max(T - t0 - ell, 0)
-    else:
-        tf = max(init.t0_minus(ell), 1)
-        # select, a start row per w_t, a flow row per theta_t
-        rows = 1 + max(T - tf + 1, 0) + max(T - ell - tf - L + 1, 0)
+    theta_hi = T if gen.initial.is_on else T - gen.ell
+    # select, a start row per start node, a flow row per theta_t
+    rows = 1 + max(T - gen.first_start + 1, 0) \
+        + max(theta_hi - gen.first_shut, 0)
     pieces = [0]   # pieces[s]: cost pieces of periods 1..s
     for period in gen.cost:
         pieces.append(pieces[-1] + len(period.pieces))

@@ -112,18 +112,6 @@ class InitialState:
     def is_on(self):
         return self.on_for is not None
 
-    def t0(self, min_up):
-        """Periods the unit must still stay on (last forced-on period index)."""
-        if not self.is_on:
-            raise ValueError("t0 is defined for initially-on units only")
-        return max(min_up - self.on_for, 0)
-
-    def t0_minus(self, min_down):
-        """Earliest period an initially-off unit may start (may be 0; clamp to 1)."""
-        if self.is_on:
-            raise ValueError("t0_minus is defined for initially-off units only")
-        return max(min_down - self.off_for + 1, 0)
-
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -161,6 +149,21 @@ class GeneratorSpec:
     @property
     def n_periods(self):
         return len(self.cost)
+
+    @property
+    def first_start(self):
+        """Earliest period the unit may start inside the horizon."""
+        if self.initial.is_on:
+            return self.first_shut + self.ell + 1
+        return max(self.ell - self.initial.off_for + 1, 1)
+
+    @property
+    def first_shut(self):
+        """Earliest last-on period of a run that ends inside the horizon;
+        0 lets an initially-on unit be off from period 1."""
+        if self.initial.is_on:
+            return max(self.L - self.initial.on_for, 0)
+        return self.first_start + self.L - 1
 
 
 @dataclass(frozen=True)
@@ -337,6 +340,26 @@ def transition_costs(gen, u):
     an off-run ends in a start, an on-run in a shutdown."""
     S, Sp = gen.startup_cost.value, gen.shutdown_cost.value
     return [Sp(n) if on else S(n) for on, n in closed_runs(gen, u)]
+
+
+def run_cost(gen, t, k):
+    """Shut-down cost of the on-run [t, k]: none for a run reaching T; the
+    first run of an initially-on unit counts its pre-horizon time."""
+    if k == gen.n_periods:
+        return 0.0
+    n = k - t + 1
+    if t == 1 and gen.initial.is_on:
+        n += gen.initial.on_for
+    return gen.shutdown_cost.value(n)
+
+
+def gap_cost(gen, k, t):
+    """Start-up cost of a start at t after last-on period k; the gap from
+    k = 0 of an initially-off unit counts its pre-horizon time."""
+    n = t - k - 1
+    if k == 0 and not gen.initial.is_on:
+        n += gen.initial.off_for
+    return gen.startup_cost.value(n)
 
 
 def closed_runs(gen, u):

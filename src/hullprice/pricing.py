@@ -81,8 +81,10 @@ def solve_commitment(instance, gap_tol=1e-6, node_limit=10 ** 6):
     if res.status == "Infeasible":
         raise SolveFailure("commitment problem is infeasible")
     if res.status != "Optimal":
+        detail = f"gap {res.gap:.3g}" if res.primal else \
+            f"no incumbent, bound {res.bound:.6g}"
         raise SolveFailure(f"commitment solve stopped at {res.status} "
-                           f"(gap {res.gap:.3g})")
+                           f"({detail})")
     schedules = {gen.id: map_to_schedule(gen, meuc.blocks[gen.id], res.primal)
                  for gen in instance.generators}
     return CommitmentResult(objective=res.objective, schedules=schedules,

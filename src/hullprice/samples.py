@@ -96,9 +96,8 @@ def random_prices(rng, T, lo=-2.0, hi=12.0):
 
 def _feasible_profile(rng, gen, T, force_on=False):
     """Sample one dispatch path the unit can actually follow."""
-    init = gen.initial
     x = [0.0] * T
-    if init.is_on:
+    if gen.initial.is_on:
         lvl = float(rng.uniform(gen.c_min, gen.c_max))
         for t in range(T):
             x[t] = lvl
@@ -107,7 +106,7 @@ def _feasible_profile(rng, gen, T, force_on=False):
         return x
     if not force_on and rng.random() < 0.4:
         return x
-    t_first = max(init.t0_minus(gen.ell), 1)
+    t_first = gen.first_start
     start = int(rng.integers(t_first, T + 1))
     if T - start + 1 < gen.L:
         start = max(t_first, T - gen.L + 1)

@@ -30,8 +30,8 @@ from itertools import groupby
 
 from .formulations import interval_rows
 from .lp import LpBuilder, solve_lp, OPTIMAL
-from .model import closed_runs, schedule_of_runs, transition_costs, \
-    upper_envelope
+from .model import closed_runs, gap_cost, run_cost, schedule_of_runs, \
+    transition_costs, upper_envelope
 
 
 class EnumerationTooLarge(ValueError):
@@ -263,47 +263,37 @@ def run_dp(gen, prices=None):
     if prices is not None and len(prices) != T:
         raise ValueError("price vector length does not match the horizon")
     ed = IntervalChain(gen, prices)
-    S = gen.startup_cost.value
-    Sp = gen.shutdown_cost.value
-    init = gen.initial
     tables = ValueTables(objective=math.nan, ed=ed)
     v_down, v_up, arg = tables.v_down, tables.v_up, tables.argmin
 
-    if init.is_on:
-        start_lo = init.t0(gen.L)        # earliest first-shutdown node
-        up_lo = start_lo + gen.ell + 1   # earliest restart period
-        extra_on = init.on_for           # pre-horizon on time, for S'
-    else:
-        start_lo = max(init.t0_minus(gen.ell), 1)  # earliest first start
-        up_lo = start_lo
-        extra_on = 0
-
-    down_lo = min(start_lo, up_lo)
+    up_lo = gen.first_start
+    down_lo = gen.first_shut if gen.initial.is_on else up_lo
     for t in range(T, down_lo - 1, -1):
         # shutdown node t: off from t+1 onward until a restart (or forever)
-        if t >= down_lo:
-            if t >= T - gen.ell:
-                v_down[t] = 0.0
-                arg[("down", t)] = ("end",)
-            else:
-                cands = [(S(k - t - 1) + v_up[k], ("restart", k))
-                         for k in range(t + gen.ell + 1, T + 1)]
-                cands.append((0.0, ("end",)))
-                v_down[t], arg[("down", t)] = _best(cands)
+        if t >= T - gen.ell:
+            v_down[t] = 0.0
+            arg[("down", t)] = ("end",)
+        else:
+            cands = [(gap_cost(gen, t, k) + v_up[k], ("restart", k))
+                     for k in range(t + gen.ell + 1, T + 1)]
+            cands.append((0.0, ("end",)))
+            v_down[t], arg[("down", t)] = _best(cands)
         # start node t: unit is on at t (fresh run for the up table)
         if t >= up_lo:
-            cands = [(Sp(k - t + 1) + ed.cost(t, k) + v_down[k], ("until", k))
+            cands = [(run_cost(gen, t, k) + ed.cost(t, k) + v_down[k],
+                      ("until", k))
                      for k in range(t + gen.L - 1, T)]
             cands.append((ed.cost(t, T), ("to_end",)))
             v_up[t], arg[("up", t)] = _best(cands)
 
-    if init.is_on:
-        cands = [(Sp(t + extra_on) + ed.cost(1, t) + v_down[t], ("shutdown", t))
-                 for t in range(start_lo, T)]
+    if gen.initial.is_on:
+        cands = [(run_cost(gen, 1, t) + ed.cost(1, t) + v_down[t],
+                  ("shutdown", t))
+                 for t in range(down_lo, T)]
         cands.append((ed.cost(1, T), ("stay_on",)))
     else:
-        cands = [(S(init.off_for + t - 1) + v_up[t], ("start", t))
-                 for t in range(start_lo, T + 1)]
+        cands = [(gap_cost(gen, 0, t) + v_up[t], ("start", t))
+                 for t in range(up_lo, T + 1)]
         cands.append((0.0, ("never",)))
     tables.objective, tables.argmin["root"] = _best(cands)
     return tables.objective, tables

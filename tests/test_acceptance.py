@@ -7,7 +7,6 @@ is the verdict sheet.
 
 import math
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +16,7 @@ from hullprice.bnb import MipProblem, solve_mip
 from hullprice.cli import main
 from hullprice.formulations import assemble_2bin, assemble_meuc, build_euc
 from hullprice.lp import solve_lp, verify_duality
-from hullprice.model import check_schedule, fold_prices
+from hullprice.model import fold_prices
 from hullprice.pricing import (
     compare,
     price,

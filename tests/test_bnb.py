@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
-from hullprice.bnb import MipProblem, MipSolution, solve_mip
+from hullprice.bnb import MipProblem, solve_mip
 from hullprice.lp import LinearProgram, LpBuilder
 
 

@@ -208,6 +208,25 @@ class TestCompare:
         assert "3/3 trials passed" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["compare", "--fuzz", "-1"],
+    ["solve", "--instance", str(BUNDLED), "--node-limit", "0"],
+], ids=["negative-fuzz", "zero-node-limit"])
+def test_meaningless_counts_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be >=" in capsys.readouterr().err
+
+
+def test_node_limit_without_incumbent_names_the_bound(capsys):
+    assert main(["solve", "--instance", str(BUNDLED),
+                 "--node-limit", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "no incumbent, bound 828" in err
+    assert "nan" not in err
+
+
 def _run_console_script(exe, env=None):
     ok = subprocess.run([exe, "validate", "--instance", str(BUNDLED)],
                         capture_output=True, text=True, env=env)

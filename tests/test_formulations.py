@@ -1,5 +1,4 @@
 import hashlib
-import math
 from collections import Counter
 from fractions import Fraction
 

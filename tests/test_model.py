@@ -1,5 +1,3 @@
-import json
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -19,10 +17,12 @@ from hullprice.model import (
     dominated_piece_indices,
     evaluate_schedule_cost,
     fold_prices,
+    gap_cost,
     instance_to_doc,
     load_instance,
     parse_instance,
     prune_dominated,
+    run_cost,
     save_instance,
     starts_from_commitment,
     tangent_pieces,
@@ -72,21 +72,75 @@ class TestInitialState:
         with pytest.raises(ValueError):
             InitialState(on_for=1, off_for=1)
 
-    def test_forced_on_window(self):
-        # on for 1 period already, min up 3: must stay through period 2
-        assert InitialState(on_for=1).t0(3) == 2
-        assert InitialState(on_for=5).t0(3) == 0
 
-    def test_first_allowed_start(self):
-        # off for 1 period, min down 3: may start at period 3
-        assert InitialState(off_for=1).t0_minus(3) == 3
-        assert InitialState(off_for=9).t0_minus(3) == 0
 
-    def test_wrong_side_accessors_raise(self):
-        with pytest.raises(ValueError):
-            InitialState(on_for=2).t0_minus(1)
-        with pytest.raises(ValueError):
-            InitialState(off_for=2).t0(1)
+def _runs_and_gaps(gen, u):
+    """Closed on-runs [t, k] of u and the gaps (k, t) that end in a start
+    at t after last-on period k. The run on before period 1 starts at
+    t = 1 (it is [1, 0] if the unit is off at 1); a gap on before period 1
+    has k = 0."""
+    runs, gaps = [], []
+    start, last_on = 1, 0
+    prev = 1 if gen.initial.is_on else 0
+    for s, cur in enumerate(u, start=1):
+        if prev and not cur:
+            runs.append((start, s - 1))
+        if cur and not prev:
+            gaps.append((last_on, s))
+            start = s
+        if cur:
+            last_on = s
+        prev = cur
+    return runs, gaps
+
+
+def _seeded_units():
+    """Seeded random units at T = 1..8, initially on and off."""
+    rng = np.random.default_rng(22)
+    units = [random_generator(rng, 1 + trial % 8, f"u{trial}")
+             for trial in range(64)]
+    assert {gen.initial.is_on for gen in units} == {True, False}
+    return units
+
+
+class TestRunRules:
+    """The run rules of ``model`` against every commitment a unit can
+    follow: when it may first start or shut down, and what each closed
+    run and each gap ending in a start costs."""
+
+    def test_first_start_is_the_earliest_start(self):
+        for gen in _seeded_units():
+            T = gen.n_periods
+            starts = [t for u in feasible_commitments(gen, T)
+                      for _, t in _runs_and_gaps(gen, u)[1]]
+            if starts:
+                assert gen.first_start == min(starts), gen
+            else:
+                assert gen.first_start > T, gen
+
+    def test_first_shut_is_the_earliest_shutdown(self):
+        for gen in _seeded_units():
+            T = gen.n_periods
+            shuts = [k for u in feasible_commitments(gen, T)
+                     for _, k in _runs_and_gaps(gen, u)[0]]
+            if shuts:
+                assert gen.first_shut == min(shuts), gen
+            else:
+                assert gen.first_shut >= T, gen
+
+    def test_run_and_gap_costs_price_every_transition(self):
+        checked = 0
+        for gen in _seeded_units():
+            T = gen.n_periods
+            for u in feasible_commitments(gen, T):
+                runs, gaps = _runs_and_gaps(gen, u)
+                costs = [run_cost(gen, t, k) for t, k in runs] + \
+                    [gap_cost(gen, k, t) for k, t in gaps]
+                assert sorted(costs) == sorted(transition_costs(gen, u)), \
+                    (gen, u)
+                checked += 1
+            assert run_cost(gen, T, T) == 0.0
+        assert checked >= 1000
 
 
 class TestGeneratorSpec:

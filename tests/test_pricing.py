@@ -17,7 +17,6 @@ from hullprice.pricing import (
     prices_csv,
     solve_commitment,
     summary_csv,
-    uplift,
     uplift_csv,
 )
 from hullprice.samples import random_instance, random_prices

@@ -1,4 +1,3 @@
-import math
 import os
 import subprocess
 import sys
