@@ -230,7 +230,7 @@ def build_parser():
     solver_opts(p)
     p.add_argument("--fuzz", type=_at_least(0), default=0,
                    help="run this many random systems instead of a file")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(func=cmd_compare)
     return parser
 

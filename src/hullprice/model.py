@@ -187,7 +187,7 @@ class SystemInstance:
             raise ValueError(f"demand has {len(self.demand)} entries, expected T={self.T}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Schedule:
     """Commitment and dispatch of one generator over the horizon.
 
@@ -337,9 +337,17 @@ def evaluate_schedule_cost(gen, u, x):
 
 def transition_costs(gen, u):
     """Start-up or shut-down cost of each closed run of u, in time order:
-    an off-run ends in a start, an on-run in a shutdown."""
-    S, Sp = gen.startup_cost.value, gen.shutdown_cost.value
-    return [Sp(n) if on else S(n) for on, n in closed_runs(gen, u)]
+    an on-run [t, k] ends in a shutdown (``run_cost``), an off-gap after
+    last-on period k in a start at t (``gap_cost``). The run under way at
+    period 1 starts there: an initially-on unit off at 1 closes the run
+    [1, 0], and a gap under way at 1 follows last-on period 0."""
+    costs, first, state = [], 1, 1 if gen.initial.is_on else 0
+    for t, cur in enumerate(u, 1):
+        if cur != state:
+            costs.append(run_cost(gen, first, t - 1) if state
+                         else gap_cost(gen, first - 1, t))
+            first, state = t, cur
+    return costs
 
 
 def run_cost(gen, t, k):

@@ -14,8 +14,10 @@ The DP works on two value functions over period nodes:
 Interval generation costs come from ``IntervalChain``: the dispatch of one
 on-run is a chain of convex piecewise-linear stage costs linked by ramp
 windows, so forward propagation of convex value functions prices every
-on-run in closed form. With a price vector the per-period slopes are shifted
-by -pi so "cost" means cost minus revenue throughout. ``solve_ed`` and
+on-run in closed form. The chain keeps one row of costs per start, filled by
+one pass, and re-runs a start's pass to backtrack the dispatch of a run the
+DP picks. With a price vector the per-period slopes are shifted by -pi so
+"cost" means cost minus revenue throughout. ``solve_ed`` and
 ``IntervalCostCache`` solve the same interval as an LP over the rows the
 interval-space model builds for it; they are the oracle that
 ``brute_force_uc`` and the tests check the chain against.
@@ -145,6 +147,29 @@ def _argmin(xs, vs):
     return xs[i], vs[i]
 
 
+def _min_below(xs, vs, cap):
+    """Minimum of the PWL function (xs, vs) on x <= cap < xs[-1]: the value
+    ``_argmin(*_restrict(xs, vs, -math.inf, cap))`` finds, without the
+    restricted lists."""
+    x0 = xs[0]
+    i, j = bisect_right(xs, x0), bisect_left(xs, cap)
+    best = vs[0]
+    if j > i:
+        inner = min(vs[i:j])
+        if inner < best:
+            best = inner
+    if cap > x0:
+        end = _at(xs, vs, cap)
+        if end < best:
+            best = end
+    return best
+
+
+def _check_span(T, t, k):
+    if not (1 <= t <= k <= T):
+        raise ValueError(f"interval [{t}, {k}] outside horizon [1, {T}]")
+
+
 class IntervalChain:
     """Closed-form interval costs for one (generator, prices) pair, with
     IntervalCostCache's ``cost(t, k)`` / ``dispatch(t, k)`` interface.
@@ -165,8 +190,10 @@ class IntervalChain:
       k = T), and the dispatch backtracks from its minimizer through the
       ramp windows.
 
-    Each V is a list of breakpoints and a list of values; the value
-    functions of a start are kept once computed.
+    Each V is a list of breakpoints and a list of values. The pass from a
+    start t records cost(t, k) for every k as it goes and keeps only that
+    row (``costs``); ``dispatch`` re-runs the pass from t to k and
+    backtracks through it.
     """
 
     def __init__(self, gen, prices=None):
@@ -179,49 +206,63 @@ class IntervalChain:
             kinks, active = upper_envelope(pc.pieces, gen.c_min, gen.c_max)
             lines = [(pc.pieces[i].a - p, pc.pieces[i].b) for i in active]
             self._stages.append((kinks, lines))
-        self._passes = {}
+        self._rows = {}
 
-    def _values(self, t):
-        """V_t, ..., V_T of the forward pass from start t."""
-        if t not in self._passes:
-            gen = self.gen
-            lo, ramp = gen.c_min, gen.ramp
-            top = gen.c_max if t == 1 and gen.initial.is_on else self._cap
-            base = [lo, top] if top > lo else [lo]
-            V = _add_stage(base, [0.0] * len(base), *self._stages[t - 1])
-            values = [V]
-            for stage in self._stages[t:]:
-                xs, vs = V
-                if ramp > 0:
-                    i = vs.index(min(vs))
-                    xs = [x - ramp for x in xs[:i + 1]] + \
-                        [x + ramp for x in xs[i:]]
-                    vs = vs[:i + 1] + vs[i:]
-                V = _add_stage(*_restrict(xs, vs, lo, gen.c_max), *stage)
-                values.append(V)
-            self._passes[t] = values
-        return self._passes[t]
+    def _pass(self, t, k, values=None):
+        """[cost(t, t), ..., cost(t, k)] from the forward pass from start
+        t; each V_s, s = t, ..., k, is appended to ``values`` if given."""
+        gen = self.gen
+        T = gen.n_periods
+        lo, hi, ramp, cap = gen.c_min, gen.c_max, gen.ramp, self._cap
+        top = hi if t == 1 and gen.initial.is_on else cap
+        xs = [lo, top] if top > lo else [lo]
+        vs = [0.0] * len(xs)
+        row = []
+        for s, stage in enumerate(self._stages[t - 1:k], t):
+            if s > t and ramp > 0:
+                # shift the halves of V_{s-1} either side of its minimizer
+                # (value m), then take them inside [lo, hi]
+                i = vs.index(m)
+                xs = [x - ramp for x in xs[:i + 1]] + \
+                    [x + ramp for x in xs[i:]]
+                vs = vs[:i + 1] + vs[i:]
+                xs, vs = _restrict(xs, vs, lo, hi)
+            xs, vs = _add_stage(xs, vs, *stage)
+            if values is not None:
+                values.append((xs, vs))
+            m = min(vs)
+            row.append(m if s == T or cap >= xs[-1] else
+                       _min_below(xs, vs, cap))
+        return row
 
-    def _last(self, t, k):
-        """V_k of the pass from t, below the shutdown cap unless k = T."""
-        T = self.gen.n_periods
-        if not (1 <= t and k <= T):
-            raise ValueError(f"interval [{t}, {k}] outside horizon [1, {T}]")
-        cap = self.gen.c_max if k == T else self._cap
-        return _restrict(*self._values(t)[k - t], -math.inf, cap)
+    def costs(self, t):
+        """[cost(t, t), ..., cost(t, T)]: one pass, kept per start."""
+        row = self._rows.get(t)
+        if row is None:
+            T = self.gen.n_periods
+            _check_span(T, t, T)
+            row = self._rows[t] = self._pass(t, T)
+        return row
 
     def cost(self, t, k):
         if k < t:
             return 0.0
-        return _argmin(*self._last(t, k))[1]
+        _check_span(self.gen.n_periods, t, k)
+        return self.costs(t)[k - t]
 
     def dispatch(self, t, k):
         if k < t:
             return ()
+        T = self.gen.n_periods
+        _check_span(T, t, k)
         ramp = self.gen.ramp
-        x = _argmin(*self._last(t, k))[0]
+        values = []
+        self._pass(t, k, values)
+        xs, vs = values.pop()
+        cap = self.gen.c_max if k == T else self._cap
+        x = _argmin(*_restrict(xs, vs, -math.inf, cap))[0]
         out = [x]
-        for xs, vs in reversed(self._values(t)[:k - t]):
+        for xs, vs in reversed(values):
             x = _argmin(*_restrict(xs, vs, x - ramp, x + ramp))[0]
             out.append(x)
         return tuple(reversed(out))
@@ -280,10 +321,11 @@ def run_dp(gen, prices=None):
             v_down[t], arg[("down", t)] = _best(cands)
         # start node t: unit is on at t (fresh run for the up table)
         if t >= up_lo:
-            cands = [(run_cost(gen, t, k) + ed.cost(t, k) + v_down[k],
+            row = ed.costs(t)   # row[k - t] is the cost of the run [t, k]
+            cands = [(run_cost(gen, t, k) + row[k - t] + v_down[k],
                       ("until", k))
                      for k in range(t + gen.L - 1, T)]
-            cands.append((ed.cost(t, T), ("to_end",)))
+            cands.append((row[-1], ("to_end",)))
             v_up[t], arg[("up", t)] = _best(cands)
 
     if gen.initial.is_on:

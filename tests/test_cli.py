@@ -211,7 +211,8 @@ class TestCompare:
 @pytest.mark.parametrize("argv", [
     ["compare", "--fuzz", "-1"],
     ["solve", "--instance", str(BUNDLED), "--node-limit", "0"],
-], ids=["negative-fuzz", "zero-node-limit"])
+    ["compare", "--fuzz", "1", "--seed", "-1"],
+], ids=["negative-fuzz", "zero-node-limit", "negative-seed"])
 def test_meaningless_counts_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)

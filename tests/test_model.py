@@ -315,6 +315,17 @@ class TestScheduleCosts:
         assert checked >= 300
 
 
+def test_schedule_is_a_slotted_value():
+    # a best response is kept per dual evaluation: no per-object __dict__
+    a = Schedule(u=(1, 0), v=(0, 0), x=(40.0, 0.0), cost=12.5)
+    b = Schedule(u=(1, 0), v=(0, 0), x=(40.0, 0.0), cost=12.5)
+    assert not hasattr(a, "__dict__")
+    assert a == b and a is not b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != Schedule(u=(1, 0), v=(0, 0), x=(40.0, 0.0), cost=13.0)
+
+
 class TestCheckSchedule:
     def test_clean_schedule(self, demo):
         g = _g2(demo)

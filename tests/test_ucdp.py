@@ -1,3 +1,5 @@
+import gc
+import math
 import os
 import subprocess
 import sys
@@ -161,8 +163,12 @@ class TestIntervalChain:
         assert chain.dispatch(3, 2) == ()
 
     def test_interval_outside_horizon_rejected(self, demo):
+        gen = demo.generators[1]
+        T = gen.n_periods
         with pytest.raises(ValueError):
-            IntervalChain(demo.generators[1]).cost(1, 4)
+            IntervalChain(gen).cost(1, T + 1)
+        with pytest.raises(ValueError):
+            IntervalChain(gen).dispatch(1, T + 1)
 
     def test_demo_ramp_window(self, demo):
         g2 = demo.generators[1]
@@ -183,6 +189,42 @@ class TestIntervalChain:
         assert check_schedule(gen, sched) == []
         assert sum(p * x for p, x in zip(pi, sched.x)) - sched.cost == \
             pytest.approx(value, abs=1e-7)
+
+
+def test_min_below_cap_matches_restricted_argmin():
+    # the pass takes each cost below the shutdown cap without building the
+    # restricted lists; it must give the very float the restriction gives
+    rng = np.random.default_rng(2417)
+    for trial in range(2000):
+        n = 1 + trial % 9
+        xs = sorted(rng.choice([0.0, 1.0, 2.5, 4.0, 7.0, 9.5], n).tolist()
+                    if trial % 3 == 0 else rng.uniform(0, 10, n).tolist())
+        vs = rng.choice([-1.0, 0.0, 2.0], n).tolist() if trial % 2 \
+            else rng.uniform(-5, 5, n).tolist()
+        cap = float(rng.uniform(xs[0] - 1, xs[-1]))
+        if cap >= xs[-1]:
+            continue
+        want = ucdp._argmin(*ucdp._restrict(xs, vs, -math.inf, cap))[1]
+        assert ucdp._min_below(xs, vs, cap) == want, (xs, vs, cap)
+
+
+def test_chain_footprint_is_linear_in_horizon():
+    # the chain keeps one cost row per start, not the value functions of
+    # every pass; count the GC-tracked containers a run_dp leaves alive
+    rng = np.random.default_rng(4848)
+    T = 48
+    gen = random_generator(rng, T, "u")
+    pi = random_prices(rng, T)
+    gc.collect()
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        result = run_dp(gen, pi)
+        alive = gc.get_count()[0] - before
+    finally:
+        gc.enable()
+    assert result[0] < math.inf
+    assert alive <= 16 * T
 
 
 def test_dp_loads_no_scipy():
