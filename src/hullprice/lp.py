@@ -30,8 +30,10 @@ class LinearProgram:
 
     Each row is ``(coeffs, sense, rhs)`` with ``coeffs`` a tuple of
     ``(var_index, coefficient)`` pairs. Construction validates the rows and
-    decodes them once into the CSC matrix ``A`` and the ``rhs`` and
-    ``sense`` arrays; copies made by ``with_bounds`` share them.
+    decodes them once into the CSC matrix ``A``, its CSR transpose ``AT``,
+    the ``rhs`` and ``sense`` arrays, and the bounds ``slack_lo`` /
+    ``slack_hi`` of the simplex's one slack column per row; copies made by
+    ``with_bounds`` share them.
     """
 
     n_vars: int
@@ -44,6 +46,10 @@ class LinearProgram:
     A: scipy.sparse.csc_matrix = field(init=False, repr=False, compare=False)
     rhs: np.ndarray = field(init=False, repr=False, compare=False)
     sense: np.ndarray = field(init=False, repr=False, compare=False)
+    AT: scipy.sparse.csr_matrix = field(init=False, repr=False,
+                                        compare=False)
+    slack_lo: np.ndarray = field(init=False, repr=False, compare=False)
+    slack_hi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n_vars
@@ -86,9 +92,17 @@ class LinearProgram:
                                  np.cumsum(np.bincount(cols, minlength=n))))
         A = csc_matrix((vals[order], row_of[order], indptr), shape=(m, n))
         A.sum_duplicates()  # repeated (row, column) pairs add up
+        sense = np.array(senses, dtype="<U2")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "sense", np.array(senses, dtype="<U2"))
+        object.__setattr__(self, "sense", sense)
+        # a view sharing A's arrays (each costs ~30 us to make)
+        object.__setattr__(self, "AT", A.T)
+        # ``<=`` rows give s in [0, inf), ``>=`` rows (-inf, 0], ``=`` 0
+        object.__setattr__(self, "slack_lo",
+                           np.where(sense == ">=", -np.inf, 0.0))
+        object.__setattr__(self, "slack_hi",
+                           np.where(sense == "<=", np.inf, 0.0))
 
     @property
     def n_rows(self):

@@ -15,6 +15,18 @@ Implementation notes:
   the pivot column w = B^{-1} a_j is mostly zeros, so the update and the
   ratio test run over its nonzero rows only, and the masks of columns
   allowed to enter change only for the columns a pivot moves;
+* the loop carries, per basic row, the basic value ``xb`` and the basic
+  column's bounds and cost (``lo_b``, ``hi_b``, ``c_b``); a pivot
+  rewrites the one row it exchanges, and the full value vector ``xval``
+  is rebuilt from ``xb`` only at refactorizations and at the end, its
+  nonbasic entries always sitting at their status bound. A slack's pivot
+  column is a copy of one column of B^{-1}. The ``LinearProgram`` builds
+  its slack bounds and ``A``'s transpose once, shared by every solve and
+  every ``with_bounds`` copy;
+* the pivot path is pinned bit for bit: a digest over every solve that
+  ``compare`` makes on fixed systems (status, primal, duals, reduced
+  costs, objective, pivot count and basis) is checked by
+  ``tests/test_lp.py::test_compare_lp_solutions_are_pinned``;
 * a refactorization whose growth max|B| * max|B^{-1}| exceeds
   ``MAX_GROWTH`` is refused as numerically singular, so a warm start
   from such a basis falls back to the cold start;
@@ -25,6 +37,8 @@ Implementation notes:
 * phase 1 minimizes the total bound violation of the basic variables
   (composite phase 1, no artificial columns), so any starting basis can
   be repaired, which branch and bound uses to warm start child nodes;
+  its ratio test is phase 2's over the phase-1 bounds of each basic row,
+  so a row outside its bounds blocks only on its way back in;
 * pricing is Dantzig (most violating reduced cost); after 1000 degenerate
   steps the solver switches to Bland's rule to break cycles;
 * pivots smaller than ``pivot_tol`` are rejected, bound/feasibility checks
@@ -56,8 +70,6 @@ MAX_GROWTH = 1e10
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
 UNBOUNDED = "Unbounded"
-
-_UNIT = np.ones(1)
 
 
 class NumericalFailure(RuntimeError):
@@ -93,26 +105,26 @@ class Simplex:
     def __init__(self, lp, maxiter=None):
         """Engine for one solve of the ``LinearProgram`` ``lp``.
 
-        Reads ``lp.matrix()``, ``lp.rhs``, ``lp.sense``, ``lp.objective``,
-        ``lp.var_lo`` and ``lp.var_hi``. The matrix and rhs are used as
-        stored; only the cost and bound vectors are copied, extended by the
-        slack part. maxiter defaults to ``50 * (n_vars + n_rows)``. Raises
+        Reads ``lp.matrix()``, ``lp.AT``, ``lp.rhs``, ``lp.slack_lo``,
+        ``lp.slack_hi``, ``lp.objective``, ``lp.var_lo`` and ``lp.var_hi``.
+        The matrix, its transpose, rhs and slack bounds are used as stored;
+        only the cost and bound vectors are copied, extended by the slack
+        part. maxiter defaults to ``50 * (n_vars + n_rows)``. Raises
         NumericalFailure, before allocating anything, for an LP of more than
         ``MAX_ROWS`` rows.
         """
         check_rows(lp.n_rows)
         self.A = lp.matrix()
-        # a CSR view sharing A's arrays; made once, as each view costs ~30 us
-        self.AT = self.A.T
+        self.AT = lp.AT
         self.m, self.n = self.A.shape
         m, n = self.m, self.n
         self.b = lp.rhs
         self.c = np.concatenate([np.asarray(lp.objective, dtype=float),
                                  np.zeros(m)])
         self.lo = np.concatenate([np.asarray(lp.var_lo, dtype=float),
-                                  np.where(lp.sense == ">=", -np.inf, 0.0)])
+                                  lp.slack_lo])
         self.hi = np.concatenate([np.asarray(lp.var_hi, dtype=float),
-                                  np.where(lp.sense == "<=", np.inf, 0.0)])
+                                  lp.slack_hi])
         self.movable = self.hi > self.lo
         self.maxiter = 50 * (n + m) if maxiter is None else maxiter
         self.iterations = 0
@@ -121,19 +133,19 @@ class Simplex:
 
     # -- basis algebra -----------------------------------------------------
 
-    def _column(self, j):
-        if j >= self.n:
-            return np.array([j - self.n]), _UNIT
-        a = self.A
-        start, end = a.indptr[j], a.indptr[j + 1]
-        return a.indices[start:end], a.data[start:end]
-
     def _refactor(self):
-        m, n, basis = self.m, self.n, self.basis
+        m, n, basis, a = self.m, self.n, self.basis, self.A
         B = np.zeros((m, m))
-        struct = basis < n
-        B[:, struct] = self.A[:, basis[struct]].toarray()
-        slack = np.flatnonzero(~struct)
+        # scatter the CSC entries of the structural basic columns: k runs
+        # over their positions in A's arrays, one column after another
+        struct = (basis < n).nonzero()[0]
+        cols = basis[struct]
+        starts = a.indptr[cols]
+        counts = a.indptr[cols + 1] - starts
+        k = np.repeat(starts - np.cumsum(counts) + counts, counts) + \
+            np.arange(counts.sum())
+        B[a.indices[k], np.repeat(struct, counts)] = a.data[k]
+        slack = (basis >= n).nonzero()[0]
         B[basis[slack] - n, slack] = 1.0
         try:
             Binv = np.linalg.inv(B)
@@ -147,8 +159,11 @@ class Simplex:
         self.since_refactor = 0
 
     def _ftran(self, j):
-        rows, vals = self._column(j)
-        return self.Binv[:, rows] @ vals
+        if j >= self.n:  # a slack's column of [A I] is a unit vector
+            return self.Binv[:, j - self.n].copy()
+        a = self.A
+        col = slice(a.indptr[j], a.indptr[j + 1])
+        return self.Binv[:, a.indices[col]] @ a.data[col]
 
     def _recompute_basics(self):
         xN = self.xval.copy()
@@ -198,9 +213,15 @@ class Simplex:
         self.vstat[self.basis] = BASIC
         self.xval = np.where(self.vstat == AT_UP, self.hi,
                              np.where(self.vstat == AT_LO, self.lo, 0.0))
-        self.can_up = np.empty(n + m, dtype=bool)
-        self.can_dn = np.empty(n + m, dtype=bool)
-        self._refresh_masks(slice(None))
+        st = self.vstat
+        free = st == FREE
+        self.can_up = free | ((st == AT_LO) & self.movable)
+        self.can_dn = free | ((st == AT_UP) & self.movable)
+        # bounds and costs of the basic columns, row by row; a pivot
+        # rewrites the row it exchanges
+        self.lo_b = self.lo[self.basis]
+        self.hi_b = self.hi[self.basis]
+        self.c_b = self.c[self.basis]
         self.xb = np.zeros(m)
         self._recompute_basics()
 
@@ -211,30 +232,43 @@ class Simplex:
         return c - np.concatenate([self.AT @ y, y])
 
     def _phase1_costs(self):
-        cb = np.zeros(self.m)
-        cb[self.xb < self.lo[self.basis] - FEAS_TOL] = -1.0
-        cb[self.xb > self.hi[self.basis] + FEAS_TOL] = 1.0
-        return cb
+        """Costs of composite phase 1: -1 on a basic row below its lower
+        bound, +1 above its upper one, else 0. Also sets the bounds each
+        row blocks at in phase 1 (``lo_p1``, ``hi_p1``): a row below its
+        lower bound may rise to it and fall without limit, a row above
+        its upper bound the reverse."""
+        below = self.xb < self.lo_b - FEAS_TOL
+        above = self.xb > self.hi_b + FEAS_TOL
+        self.lo_p1 = np.where(below, -np.inf,
+                              np.where(above, self.hi_b, self.lo_b))
+        self.hi_p1 = np.where(above, np.inf,
+                              np.where(below, self.lo_b, self.hi_b))
+        return np.subtract(above, below, dtype=float)
 
-    def _refresh_masks(self, cols):
-        """Whether the nonbasic columns ``cols`` may enter moving up or
-        down; a pivot changes them only for the columns it moves."""
-        st = self.vstat[cols]
+    def _set_status(self, k, st):
+        """Give column k the status st and update whether it may enter
+        moving up or down; a pivot changes only the columns it moves."""
+        self.vstat[k] = st
         free = st == FREE
-        self.can_up[cols] = free | ((st == AT_LO) & self.movable[cols])
-        self.can_dn[cols] = free | ((st == AT_UP) & self.movable[cols])
+        self.can_up[k] = free or (st == AT_LO and self.movable[k])
+        self.can_dn[k] = free or (st == AT_UP and self.movable[k])
 
     def _pick_entering(self, d, bland):
+        """Entering column and direction for the reduced costs d, or
+        (None, 0) at optimality. Basic columns never pass the masks, so
+        their entries of d are not read."""
         up_ok = self.can_up & (d < -OPT_TOL)
-        dn_ok = self.can_dn & (d > OPT_TOL)
-        any_ok = up_ok | dn_ok
-        if not any_ok.any():
-            return None, 0
+        ok = up_ok | (self.can_dn & (d > OPT_TOL))
         if bland:
-            j = int(np.nonzero(any_ok)[0][0])
+            hits = ok.nonzero()[0]
+            if not hits.size:
+                return None, 0
+            j = int(hits[0])
         else:
-            score = np.where(any_ok, np.abs(d), 0.0)
-            j = int(np.argmax(score))
+            # every allowed column scores at least OPT_TOL, the rest 0
+            j = int(np.where(ok, np.abs(d), 0.0).argmax())
+            if not ok[j]:
+                return None, 0
         return j, (1 if up_ok[j] else -1)
 
     # -- ratio test ----------------------------------------------------------
@@ -244,71 +278,68 @@ class Simplex:
         ``direction`` (+1 up, -1 down). Returns (theta, row or None) where
         row None means the entering variable hits its own opposite bound.
         Only rows with |w| > PIVOT_TOL can block the step, so the test
-        runs over those."""
-        rows = np.flatnonzero(np.abs(w) > PIVOT_TOL)
+        runs over those. Phase 1 blocks at the bounds ``_phase1_costs``
+        set."""
+        lo, hi = (self.lo_p1, self.hi_p1) if phase1 else \
+            (self.lo_b, self.hi_b)
+        rows = (np.abs(w) > PIVOT_TOL).nonzero()[0]
         delta = -direction * w[rows]  # change of basic values per unit step
-        basic = self.basis[rows]
-        lo_b, hi_b = self.lo[basic], self.hi[basic]
-        xb = self.xb[rows]
-        up = delta > 0.0
-        target = np.where(up, hi_b, lo_b)
-        if phase1:
-            # an infeasible basic blocks at the bound it moves toward
-            below = xb < lo_b - FEAS_TOL
-            above = xb > hi_b + FEAS_TOL
-            np.copyto(target, lo_b, where=below & up)
-            np.copyto(target, hi_b, where=above & ~up)
-            target[(below & ~up) | (above & up)] = np.nan
-
-        steps = (target - xb) / delta
+        target = np.where(delta > 0.0, hi[rows], lo[rows])
+        steps = (target - self.xb[rows]) / delta
         steps = np.where(np.isfinite(steps), np.maximum(steps, 0.0), np.inf)
 
-        theta = float(steps.min()) if rows.size else np.inf
-        own = self.hi[j] - self.lo[j]  # own range; inf for free/one-sided
-        if self.vstat[j] != FREE and np.isfinite(own) and own < theta:
+        theta = float(steps.min()) if rows.size else math.inf
+        own = float(self.hi[j] - self.lo[j])  # inf for free/one-sided
+        if self.vstat[j] != FREE and math.isfinite(own) and own < theta:
             return own, None
-        if not np.isfinite(theta):
-            return np.inf, None
+        if not math.isfinite(theta):
+            return math.inf, None
         # among (near-)minimal ratios prefer the largest pivot magnitude,
-        # then the lowest row index, so reruns take identical paths
+        # then the lowest row index (argmax keeps the first of equal
+        # maxima), so reruns take identical paths
         cand = rows[steps <= theta + 1e-12]
-        if cand.size > 1:
-            cand = cand[np.lexsort((cand, -np.abs(w[cand])))]
-        return max(theta, 0.0), int(cand[0])
+        r = cand[np.abs(w[cand]).argmax()] if cand.size > 1 else cand[0]
+        return max(theta, 0.0), int(r)
 
     # -- pivoting ------------------------------------------------------------
 
     def _apply_pivot(self, j, direction, w, theta, r):
+        # the basic values live in xb only; _recompute_basics writes them
+        # back into xval, whose nonbasic entries sit at their status bound
+        xj = float(self.xval[j])
         if theta != 0.0:
             self.xb -= direction * theta * w
-            self.xval[self.basis] = self.xb
-            self.xval[j] = self.xval[j] + direction * theta
+            xj += direction * theta
         if r is None:
             # bound flip: variable walked to its other bound
-            self.vstat[j] = AT_UP if self.vstat[j] == AT_LO else AT_LO
-            self.xval[j] = self.hi[j] if self.vstat[j] == AT_UP else self.lo[j]
-            self._refresh_masks(j)
+            if self.vstat[j] == AT_LO:
+                self.xval[j] = self.hi[j]
+                self._set_status(j, AT_UP)
+            else:
+                self.xval[j] = self.lo[j]
+                self._set_status(j, AT_LO)
             return
-        leaving = self.basis[r]
-        if abs(w[r]) < PIVOT_TOL:
+        w_r = float(w[r])
+        if abs(w_r) < PIVOT_TOL:
             raise NumericalFailure("pivot element below tolerance")
         # classify which bound the leaving variable stopped at
-        lv = self.xval[leaving]
-        if np.isfinite(self.lo[leaving]) and \
-                abs(lv - self.lo[leaving]) <= abs(lv - self.hi[leaving]):
-            self.vstat[leaving] = AT_LO
-            self.xval[leaving] = self.lo[leaving]
+        leaving = int(self.basis[r])
+        lv, lo, hi = float(self.xb[r]), float(self.lo_b[r]), \
+            float(self.hi_b[r])
+        if math.isfinite(lo) and abs(lv - lo) <= abs(lv - hi):
+            self.xval[leaving] = lo
+            self._set_status(leaving, AT_LO)
         else:
-            self.vstat[leaving] = AT_UP
-            self.xval[leaving] = self.hi[leaving]
+            self.xval[leaving] = hi
+            self._set_status(leaving, AT_UP)
+        self._set_status(j, BASIC)
         self.basis[r] = j
-        self.vstat[j] = BASIC
-        self.xb[r] = self.xval[j]
-        self._refresh_masks(j)
-        self._refresh_masks(leaving)
+        self.lo_b[r], self.hi_b[r], self.c_b[r] = \
+            self.lo[j], self.hi[j], self.c[j]
+        self.xb[r] = xj
         # rank-1 update of the inverse; rows where w is zero keep their values
-        piv = self.Binv[r, :] / w[r]
-        nz = np.flatnonzero(w)
+        piv = self.Binv[r, :] / w_r
+        nz = w.nonzero()[0]
         self.Binv[nz] -= np.outer(w[nz], piv)
         self.Binv[r, :] = piv
         self.since_refactor += 1
@@ -326,10 +357,9 @@ class Simplex:
                 if not cb.any():
                     return "feasible"
             else:
-                cb = self.c[self.basis]
+                cb = self.c_b
             y = cb @ self.Binv
             d = self._reduced_costs(c, y)
-            d[self.basis] = 0.0
             bland = self.degenerate >= BLAND_AFTER
             j, direction = self._pick_entering(d, bland)
             if j is None:
@@ -340,7 +370,7 @@ class Simplex:
             self.iterations += 1
             w = self._ftran(j)
             theta, r = self._ratio_test(j, direction, w, phase1)
-            if not np.isfinite(theta):
+            if not math.isfinite(theta):
                 if phase1:
                     raise NumericalFailure("phase 1 direction unbounded")
                 return "unbounded"
@@ -360,8 +390,8 @@ class Simplex:
         self._start(basis)
         n, m = self.n, self.m
         infeasible = (
-            (self.xb < self.lo[self.basis] - FEAS_TOL).any()
-            or (self.xb > self.hi[self.basis] + FEAS_TOL).any()
+            (self.xb < self.lo_b - FEAS_TOL).any()
+            or (self.xb > self.hi_b + FEAS_TOL).any()
         ) if m else False
         if infeasible:
             verdict = self._iterate(phase1=True)
@@ -373,7 +403,7 @@ class Simplex:
             return LpSolution(UNBOUNDED, iterations=self.iterations)
         # polish the basic values against the final basis before reporting
         self._recompute_basics()
-        y = self.c[self.basis] @ self.Binv if m else np.zeros(0)
+        y = self.c_b @ self.Binv if m else np.zeros(0)
         d = self._reduced_costs(self.c, y)
         d[self.basis] = 0.0
         x = self.xval[:n]

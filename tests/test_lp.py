@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 from collections import Counter
@@ -18,6 +19,7 @@ from hullprice.lp import (
     verify_duality,
     with_bounds,
 )
+from hullprice import simplex
 from hullprice.simplex import AT_LO, AT_UP, BASIC, FREE, MAX_ROWS, Simplex
 
 
@@ -255,6 +257,34 @@ class TestDeterminism:
         fixed = pricing._fix_commitment(assemble_2bin(inst), inst,
                                         commit.schedules)
         assert solve_lp(fixed.lp).iterations == 18
+
+
+def test_compare_lp_solutions_are_pinned(monkeypatch):
+    # every simplex solve behind ``compare`` on the demo and 12 small
+    # fixed-seed systems: a kernel change that moves one pivot, one basis
+    # or one bit of a primal, dual or reduced cost fails here
+    from hullprice import pricing
+    from hullprice.samples import demo_instance, random_instance
+    solutions = []
+    solve = Simplex.solve
+
+    def recording(self, basis=None):
+        sol = solve(self, basis)
+        solutions.append((sol.status, sol.primal, sol.duals,
+                          sol.reduced_costs, sol.objective, sol.iterations,
+                          sol.basis))
+        return sol
+
+    monkeypatch.setattr(Simplex, "solve", recording)
+    systems = [demo_instance()] + [
+        random_instance(np.random.default_rng(100 + seed), 2 + seed % 2,
+                        2 + seed % 3) for seed in range(12)]
+    for inst in systems:
+        pricing.compare(inst)
+    assert len(solutions) >= 60
+    digest = hashlib.sha256(repr(solutions).encode()).hexdigest()
+    assert digest == \
+        "bbdac501f6af2edee50d2b8e91f0ca841a60073e4d0c41eecc4d22288c27352a"
 
 
 def _scipy_solve(lp):
@@ -537,6 +567,111 @@ def test_refactor_matches_column_loop():
         checked += any(j < lp.n_vars for j in sol.basis[0]) and \
             any(j >= lp.n_vars for j in sol.basis[0])
     assert checked >= 10  # bases that mix structural and slack columns
+
+
+
+def _check_carried(engine):
+    """The per-row basic bounds and costs the pivot loop carries equal a
+    gather through the basis, the entering masks equal a fresh derivation
+    from the statuses, and each nonbasic value sits at its status bound."""
+    basis, st = engine.basis, engine.vstat
+    assert np.array_equal(engine.lo_b, engine.lo[basis])
+    assert np.array_equal(engine.hi_b, engine.hi[basis])
+    assert np.array_equal(engine.c_b, engine.c[basis])
+    assert (st[basis] == BASIC).all() and (st == BASIC).sum() == engine.m
+    free = st == FREE
+    assert np.array_equal(engine.can_up,
+                          free | ((st == AT_LO) & engine.movable))
+    assert np.array_equal(engine.can_dn,
+                          free | ((st == AT_UP) & engine.movable))
+    at = np.where(st == AT_LO, engine.lo,
+                  np.where(st == AT_UP, engine.hi, 0.0))
+    nonbasic = st != BASIC
+    assert np.array_equal(engine.xval[nonbasic], at[nonbasic])
+
+
+def test_carried_basic_arrays_follow_every_pivot(monkeypatch):
+    """Cold and warm solves of the kernel corpus, the demo's branch and
+    bound, and the demo LP refactored every few pivots: after each pivot
+    and each refactorization the carried arrays match the basis."""
+    seen = Counter()
+    apply_pivot, refactor = Simplex._apply_pivot, Simplex._refactor
+
+    def pivoting(self, j, direction, w, theta, r):
+        seen["free"] += self.vstat[j] == FREE
+        apply_pivot(self, j, direction, w, theta, r)
+        seen["flip" if r is None else "pivot"] += 1
+        _check_carried(self)
+
+    def refactoring(self):
+        refactor(self)
+        # a warm start refactors before the loop's arrays exist
+        if "lo_b" in vars(self):
+            seen["refactor"] += 1
+            _check_carried(self)
+
+    monkeypatch.setattr(Simplex, "_apply_pivot", pivoting)
+    monkeypatch.setattr(Simplex, "_refactor", refactoring)
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        lp = _kernel_lp(rng)
+        cold = solve_lp(lp)
+        if cold.status != OPTIMAL:
+            continue
+        solve_lp(lp, basis=_exchanged_basis(rng, lp, cold.basis))
+        shifted = _shifted_boxes(rng, lp)
+        if shifted is not None:
+            solve_lp(shifted, basis=cold.basis)
+            solve_lp(shifted, basis=cold.basis + cold.inverse)
+    from hullprice import pricing
+    from hullprice.formulations import assemble_meuc
+    from hullprice.samples import demo_instance
+    assert pricing.solve_commitment(demo_instance()).mip.node_count == 9
+    assert seen["refactor"] == 0  # no corpus LP reaches REFACTOR_EVERY
+    monkeypatch.setattr(simplex, "REFACTOR_EVERY", 5)
+    root = solve_lp(assemble_meuc(demo_instance()).lp)
+    assert root.objective == pytest.approx(828.0, abs=1e-9)
+    # the corpus must actually exercise these paths
+    assert seen["pivot"] >= 1000 and seen["flip"] >= 100
+    assert seen["free"] >= 100 and seen["refactor"] >= 10
+
+
+def _beale_lp():
+    """Beale's (1955) LP, on which Dantzig pricing with a lowest-index
+    ratio rule cycles; its optimum is -1/20 at x = (1/25, 0, 1, 0)."""
+    return _lp([-0.75, 150.0, -0.02, 6.0],
+               [(((0, 0.25), (1, -60.0), (2, -0.04), (3, 9.0)), "<=", 0.0),
+                (((0, 0.5), (1, -90.0), (2, -0.02), (3, 3.0)), "<=", 0.0),
+                (((2, 1.0),), "<=", 1.0)],
+               [0.0] * 4, [math.inf] * 4)
+
+
+def test_bland_rule_reaches_the_dantzig_optimum(monkeypatch):
+    """With Bland's rule from the first pivot, every solve of the kernel
+    corpus and of Beale's LP ends where Dantzig pricing does."""
+    rng = np.random.default_rng(7)
+    lps = [_beale_lp()] + [_kernel_lp(rng) for _ in range(200)]
+    dantzig = [solve_lp(lp) for lp in lps]
+    picks = Counter()
+    pick_entering = Simplex._pick_entering
+
+    def counting(self, d, bland):
+        picks[bland] += 1
+        return pick_entering(self, d, bland)
+
+    monkeypatch.setattr(Simplex, "_pick_entering", counting)
+    monkeypatch.setattr(simplex, "BLAND_AFTER", 0)
+    for lp, ref in zip(lps, dantzig):
+        ours = solve_lp(lp)
+        assert ours.status == ref.status
+        if ours.status == OPTIMAL:
+            assert ours.objective == pytest.approx(ref.objective, abs=1e-9)
+            assert verify_duality(lp, ours).ok
+    beale = solve_lp(lps[0])
+    assert beale.objective == pytest.approx(-0.05, abs=1e-12)
+    assert beale.primal == pytest.approx((0.04, 0.0, 1.0, 0.0), abs=1e-12)
+    # every entering choice went through Bland's rule
+    assert picks[False] == 0 and picks[True] >= 1000
 
 
 def test_dump_writes_readable_model(tmp_path):
